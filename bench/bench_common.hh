@@ -48,16 +48,14 @@ struct JsonRow
     double eventsPerSec = 0.0; ///< 0 when the bench has no event axis.
     double wallMs = 0.0;       ///< Wall time of one measured batch.
     u64 stateBytesPerLane = 0; ///< Microarchitectural hot state per
-                               ///< replay lane (0 = no lane axis).
-    double verifyRate = 0.0;   ///< Fraction of hinted way probes the
-                               ///< memo answered without a full scan.
+                               ///< replay (0 = no replay axis).
 };
 
 /**
  * Collects JsonRow records and writes them as a single JSON document:
  *
  *   { "schema": "interf-bench-1",
- *     "schemaVersion": 3,
+ *     "schemaVersion": 5,
  *     "rows": [ { "benchmark": ..., "config": ...,
  *                 "layouts_per_sec": ..., "events_per_sec": ...,
  *                 "wall_ms": ... }, ... ],
@@ -76,14 +74,11 @@ struct JsonRow
  * directly comparable to the "micro_replay/plan" row at the same
  * config. schemaVersion 4 adds two fields to every row:
  * "state_bytes_per_lane" — the microarchitectural hot state one
- * replay lane keeps (cache tag/age/generation arrays, predictor
- * tables, BTB, RAS; 0 for benches with no lane axis), the number the
- * K-sweep trades against the host LLC (plan-sized way memos are
- * reported separately, via the replay.lane_memo_bytes telemetry gauge
- * and the bench's human-readable header) — and "verify_rate" — the
- * fraction of hinted way probes the
- * memo verification answered with a single tag load instead of a full
- * scan (0 for paths that take no hinted probes).
+ * replay keeps (cache tag/age/generation arrays, predictor tables,
+ * BTB, RAS; 0 for benches with no replay axis) — and "verify_rate",
+ * the batched kernel's way-memo hit rate. schemaVersion 5 retires the
+ * batched kernel (DESIGN.md §5h): the batched_k{k} rows and the
+ * "verify_rate" field are gone.
  */
 class JsonReport
 {
@@ -99,7 +94,7 @@ class JsonReport
         if (!out)
             fatal("cannot write JSON report to '%s'", path.c_str());
         out << "{\n  \"schema\": \"interf-bench-1\",\n"
-            << "  \"schemaVersion\": 4,\n  \"rows\": [";
+            << "  \"schemaVersion\": 5,\n  \"rows\": [";
         for (size_t i = 0; i < rows_.size(); ++i) {
             const JsonRow &r = rows_[i];
             out << (i ? ",\n" : "\n")
@@ -109,7 +104,7 @@ class JsonReport
                 << ", \"events_per_sec\": " << num(r.eventsPerSec)
                 << ", \"wall_ms\": " << num(r.wallMs)
                 << ", \"state_bytes_per_lane\": " << r.stateBytesPerLane
-                << ", \"verify_rate\": " << num(r.verifyRate) << "}";
+                << "}";
         }
         out << "\n  ],\n  \"phases\": [";
         const auto phases = telemetry::phaseStats();

@@ -56,8 +56,8 @@ Cache::Cache(const CacheConfig &config) : cfg_(config)
     // evict real state from the host's caches. LRU caches choose the
     // representation by geometry (see the file header in cache.hh):
     // u32 stamps for small hot caches, u8 per-set ages for
-    // megabyte-class ones whose stamp array would dominate a replay
-    // lane's footprint.
+    // megabyte-class ones whose stamp array would dominate a replay's
+    // footprint.
     if (lruTracked_) {
         narrowLru_ = entries >= Cache::kNarrowLruLines;
         if (narrowLru_) {
@@ -98,7 +98,7 @@ Cache::reset()
     }
     // The stamp clock restarts every reset, exactly as the eager-clear
     // scheme did, so wrap of the u32 clock would need 2^32 touches in
-    // ONE replay (unreachable) rather than across a pooled lane's whole
+    // ONE replay (unreachable) rather than across a Machine's whole
     // lifetime (reachable in long optimizer sweeps). Restarting under a
     // lazy reset is safe: stale sets carry the old epoch salt so they
     // can't hit, and both LRU read paths (pickVictim, touchLru-on-hit)

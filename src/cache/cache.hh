@@ -15,8 +15,8 @@
  * kNoTag sentinel) rather than an array of line structs: a set's tags
  * share one cache line and the common hit case touches nothing else.
  *
- * The representation is compacted so batched replay lanes fit in the
- * host LLC (each lane carries its own hierarchy):
+ * The representation is compacted to keep one replay's hot state small
+ * in the host's caches (DESIGN.md §5j):
  *  - Tags are stored once, split u32-lo / u16-hi (48 bits). Real tags
  *    are line numbers (address >> lineShift), and every address the
  *    layout engines produce is far below 2^48+lineShift bits, which an
@@ -35,7 +35,7 @@
  *    per-set ages with order-exact rank renormalization instead (the
  *    BTB's scheme): only L1-miss traffic touches them, so the per-set
  *    chain is off the hot path, and a u32 age array at that line
- *    count would be ~0.4 MB of a lane's ~0.65 MB footprint. Victim
+ *    count would be ~0.4 MB of a replay's ~0.65 MB footprint. Victim
  *    choice is bit-identical between the two representations —
  *    renormalization preserves strict age order and the way-index
  *    tie-break — so which one a cache uses is invisible to results.
@@ -106,20 +106,6 @@ struct CacheStats
     }
 };
 
-/** Cumulative outcome counts of probeWayHinted() calls: how many ran,
- *  and how many the one-load hint verification answered without the
- *  full scan. Diagnostics only (the bench reports the ratio as the
- *  memo verify rate); never cleared by reset(), and only accumulated
- *  while setHintCounting(true) — the unconditional increments were
- *  two read-modify-writes on the hottest probe path, and replacing
- *  them with a predicted never-taken branch measured ~3% of batched
- *  replay throughput. */
-struct HintStats
-{
-    u64 probes = 0;
-    u64 verified = 0;
-};
-
 /** A set-associative, LRU, tag-only cache. */
 class Cache
 {
@@ -154,29 +140,6 @@ class Cache
     }
 
     /**
-     * Commit half of access(): complete an access whose tag scan
-     * already ran (@p way from probeWay(), with no intervening change
-     * to the set). Statistics, LRU and install effects are exactly
-     * those of access(); the return value is the same hit/miss.
-     *
-     * This is the batched replay kernel's primitive: K lanes' probeWay
-     * scans issue back-to-back — independent packed compares whose set
-     * rows load in parallel — and the branchy commit runs after, so
-     * one event's K tag scans overlap instead of serializing.
-     */
-    bool accessFound(Addr addr, u32 way)
-    {
-        switch (assoc_) {
-          case 8:
-            return accessFoundT<8>(addr, way);
-          case 24:
-            return accessFoundT<24>(addr, way);
-          default:
-            return accessFoundT<0>(addr, way);
-        }
-    }
-
-    /**
      * Way currently holding @p addr's line, or assoc() if absent; no
      * state change. Lets callers that will touch the line again skip
      * the next scan (see MemoryHierarchy's prefetch memo).
@@ -190,53 +153,6 @@ class Cache
             return probeWayT<24>(addr);
           default:
             return probeWayT<0>(addr);
-        }
-    }
-
-    /**
-     * probeWay() with a verified way hint. A line occupies at most one
-     * way of its set, so if the tag at @p hint matches, @p hint *is*
-     * the answer — one tag load replaces the packed scan. A stale or
-     * out-of-range hint (the sentinel 0xff included) falls back to the
-     * full scan, so a hint can only ever change the cost of the probe,
-     * never its result. The batched replay kernel feeds this from
-     * small per-lane way memos keyed by replay-plan indices.
-     */
-    u32 probeWayHinted(Addr addr, u32 hint) const
-    {
-        if (countHints_) [[unlikely]]
-            ++hintStats_.probes;
-        if (hint < assoc_) {
-            const u32 set = setIndex(addr);
-            const size_t base = static_cast<size_t>(set) * assoc_;
-            // The probe key carries the epoch salt, so a tag written
-            // in a stale epoch cannot verify — no liveness check.
-            const Addr tag = tagOf(addr);
-            if (tagsLo_[base + hint] == static_cast<u32>(tag) &&
-                tagsHi_[base + hint] == static_cast<u16>(tag >> 32)) {
-                if (countHints_) [[unlikely]]
-                    ++hintStats_.verified;
-                return hint;
-            }
-        }
-        return probeWay(addr);
-    }
-
-    /**
-     * accessFound() that also reports the way the line occupies after
-     * the access — the hit way, or the victim a miss installed into —
-     * so callers can refresh a way memo. Effects and hit/miss outcome
-     * are exactly accessFound()'s.
-     */
-    u32 accessFoundWay(Addr addr, u32 way)
-    {
-        switch (assoc_) {
-          case 8:
-            return accessFoundWayT<8>(addr, way);
-          case 24:
-            return accessFoundWayT<24>(addr, way);
-          default:
-            return accessFoundWayT<0>(addr, way);
         }
     }
 
@@ -288,14 +204,9 @@ class Cache
 
     const CacheConfig &config() const { return cfg_; }
     const CacheStats &stats() const { return stats_; }
-    const HintStats &hintStats() const { return hintStats_; }
-
-    /** Enable/disable hinted-probe outcome counting (off by default;
-     *  see HintStats). */
-    void setHintCounting(bool on) { countHints_ = on; }
 
     /** Bytes of per-replay mutable state (tag/LRU/generation arrays) —
-     *  what one batched-replay lane keeps hot per cache. */
+     *  what one replay keeps hot per cache. */
     u64 hotStateBytes() const
     {
         return tagsLo_.size() * sizeof(u32) +
@@ -335,7 +246,7 @@ class Cache
 
     /** Current u32 stamp-clock value (stamp-LRU caches only). Exposed
      *  so tests can pin the reset-restart invariant: the clock must
-     *  restart at every reset(), or a pooled lane's cumulative touches
+     *  restart at every reset(), or a Machine's cumulative touches
      *  could wrap it mid-sweep and silently invert victim choice —
      *  2^32 touches is unreachable within one replay, which is the
      *  bound reset() re-establishes, but reachable across thousands
@@ -505,43 +416,22 @@ class Cache
         // No liveness check: a stale set's tags carry an old epoch
         // salt, so the scan misses on its own (see kEpochShift).
         const u32 w = findWay<kAssoc>(base, tagOf(addr));
-        return accessFoundT<kAssoc>(addr, w);
-    }
-
-    /** Commit body shared by accessT and the batched probe/commit
-     *  split; the set/tag recomputation folds away after inlining. */
-    template <u32 kAssoc>
-    bool accessFoundT(Addr addr, u32 w)
-    {
-        const u32 assoc = kAssoc ? kAssoc : assoc_;
-        accessFoundWayT<kAssoc>(addr, w);
-        return w != assoc;
-    }
-
-    /** As accessFoundT, returning the way the line ends up in (the
-     *  hit way unchanged, or the just-installed victim on a miss). */
-    template <u32 kAssoc>
-    u32 accessFoundWayT(Addr addr, u32 w)
-    {
-        const u32 assoc = kAssoc ? kAssoc : assoc_;
         ++stats_.accesses;
-        const u32 set = setIndex(addr);
-        const size_t base = static_cast<size_t>(set) * assoc;
         if (w != assoc) {
             touchLru(base, set, w);
-            return w;
+            return true;
         }
         ++stats_.misses;
         if (!setLive(set))
             materializeSet(base, set);
-        const Addr tag = tagOf(addr);
         INTERF_ASSERT((addr >> lineShift_) <
                       (Addr{1} << kEpochShift)); // salt headroom
+        const Addr tag = tagOf(addr);
         u32 victim = pickVictim<kAssoc>(base);
         tagsLo_[base + victim] = static_cast<u32>(tag);
         tagsHi_[base + victim] = static_cast<u16>(tag >> 32);
         touchLru(base, set, victim);
-        return victim;
+        return false;
     }
 
     template <u32 kAssoc>
@@ -630,8 +520,6 @@ class Cache
     std::vector<u8> setClock8_;  ///< Per-set age clock (narrow Lru).
     std::vector<u8> gen_;        ///< Per-set reset generation.
     CacheStats stats_;
-    mutable HintStats hintStats_;
-    bool countHints_ = false;    ///< See setHintCounting().
 };
 
 } // namespace interf::cache

@@ -111,106 +111,6 @@ class MemoryHierarchy
         return HitLevel::Memory;
     }
 
-    /**
-     * @{ accessData() split into its scan and commit halves for the
-     * batched replay kernel: one event's K lanes probe their L1Ds
-     * back-to-back (independent packed tag scans, so the K set-row
-     * loads overlap) and then commit per lane. probeDataWay() has no
-     * state change; accessDataAt(addr, way) applies exactly
-     * accessData()'s effects given the scan result.
-     */
-    u32 probeDataWay(Addr addr) const { return l1d_.probeWay(addr); }
-
-    HitLevel accessDataAt(Addr addr, u32 way)
-    {
-        if (l1d_.accessFound(addr, way))
-            return HitLevel::L1;
-        if (l2_.access(addr))
-            return HitLevel::L2;
-        ++l2DataMisses_;
-        return HitLevel::Memory;
-    }
-    /** @} */
-
-    /**
-     * @{ Way-memoized probe/commit pair. The batched replay kernel
-     * keeps a per-lane memo of the L1D way each memory-universe entry
-     * hit last time: the hinted probe verifies the memo with a single
-     * tag load (Cache::probeWayHinted — a match proves presence, so a
-     * hint can never change a result, only skip the packed scan) and
-     * the commit refreshes @p memo with the line's current way.
-     * Effects and results are exactly probeDataWay()/accessDataAt()'s.
-     */
-    u32 probeDataWayHinted(Addr addr, u32 hint) const
-    {
-        return l1d_.probeWayHinted(addr, hint);
-    }
-
-    HitLevel accessDataCommit(Addr addr, u32 way, u8 &memo)
-    {
-        memo = static_cast<u8>(l1d_.accessFoundWay(addr, way));
-        if (way != l1d_.config().assoc)
-            return HitLevel::L1;
-        if (l2_.access(addr))
-            return HitLevel::L2;
-        ++l2DataMisses_;
-        return HitLevel::Memory;
-    }
-    /** @} */
-
-    /**
-     * fetchInst() with way memos for the demand line and the
-     * prefetcher's next-line probe: @p demand_memo and @p pref_memo
-     * hint the L1I ways those lines occupied the last time this fetch
-     * slot ran, and are refreshed in place. Every access, statistic
-     * and replacement update is exactly fetchInst()'s — the memos only
-     * let the two tag scans collapse to single verified tag loads when
-     * the hints still hold (see Cache::probeWayHinted).
-     */
-    HitLevel fetchInstHinted(Addr addr, u8 &demand_memo, u8 &pref_memo)
-    {
-        HitLevel level;
-        if (addr == prefLine_) {
-            // See fetchInst(): the previous call's prefetch check just
-            // proved this line present at prefWay_.
-            l1i_.accessAt(addr, prefWay_);
-            demand_memo = static_cast<u8>(prefWay_);
-            level = HitLevel::L1;
-        } else {
-            u32 w = l1i_.probeWayHinted(addr, demand_memo);
-            demand_memo = static_cast<u8>(l1i_.accessFoundWay(addr, w));
-            if (w != l1i_.config().assoc) {
-                level = HitLevel::L1;
-            } else if (l2_.access(addr)) {
-                level = HitLevel::L2;
-            } else {
-                level = HitLevel::Memory;
-                ++l2InstMisses_;
-            }
-        }
-
-        if (cfg_.nextLinePrefetch) {
-            u32 line_bytes = cfg_.l1i.lineBytes;
-            Addr line = addr / line_bytes;
-            if (line != lastFetchLine_) {
-                lastFetchLine_ = line;
-                Addr next = (line + 1) * line_bytes;
-                u32 way = l1i_.probeWayHinted(next, pref_memo);
-                if (way == l1i_.config().assoc) {
-                    if (!l2_.access(next))
-                        ++l2PrefMisses_;
-                    way = l1i_.install(next);
-                }
-                pref_memo = static_cast<u8>(way);
-                if (prefMemoSafe_) {
-                    prefLine_ = next;
-                    prefWay_ = way;
-                }
-            }
-        }
-        return level;
-    }
-
     /** Invalidate all levels and clear statistics. */
     void reset();
 
@@ -221,30 +121,11 @@ class MemoryHierarchy
     HierarchyStats stats() const;
 
     /** Per-replay mutable state across all three levels — what one
-     *  batched-replay lane keeps hot. */
+     *  replay keeps hot. */
     u64 hotStateBytes() const
     {
         return l1i_.hotStateBytes() + l1d_.hotStateBytes() +
                l2_.hotStateBytes();
-    }
-
-    /** Enable/disable hinted-probe outcome counting on the memoized
-     *  caches (off by default; see cache::HintStats). */
-    void setHintCounting(bool on)
-    {
-        l1i_.setHintCounting(on);
-        l1d_.setHintCounting(on);
-    }
-
-    /** Summed hinted-probe outcomes of the L1I and L1D (the two caches
-     *  the way memos front). */
-    HintStats hintStats() const
-    {
-        HintStats s;
-        s.probes = l1i_.hintStats().probes + l1d_.hintStats().probes;
-        s.verified =
-            l1i_.hintStats().verified + l1d_.hintStats().verified;
-        return s;
     }
 
   private:

@@ -101,7 +101,7 @@ class RefHierarchy
 
 /** Result of a RefBtb lookup: full target address (the reference
  *  model stays address-tagged and address-valued; the optimized Btb
- *  stores u32 tokens instead, which the replay kernels prove
+ *  stores u32 tokens instead, which the replay kernel proves
  *  equivalent through site-address injectivity). */
 struct RefBtbResult
 {

@@ -1,6 +1,5 @@
 #include "core/timing.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "bpred/factory.hh"
@@ -282,132 +281,11 @@ Machine::runReference(const trace::Program &prog, const trace::Trace &trace,
     return res;
 }
 
-/**
- * One layout lane's machine state for a batched replay: the same
- * microarchitectural components a Machine owns, plus the per-lane
- * predictor devirtualization. Pooled in Machine::lanePool_ and reset()
- * to power-on state per batch (reset is exactly power-on for every
- * component — the single-lane kernel's resetState() relies on the same
- * guarantee). The hot per-event scalars (cycles, cluster state, fetch
- * memo) intentionally live in dense arrays inside the kernel, not
- * here: all K lanes' copies of one scalar then share a host cache line
- * instead of sitting one lane stride apart.
- */
-struct BatchLaneState
-{
-    explicit BatchLaneState(const MachineConfig &cfg)
-        : hierarchy(cfg.hierarchy),
-          predictor(bpred::makePredictor(cfg.predictorSpec)),
-          hybrid(dynamic_cast<bpred::HybridPredictor *>(predictor.get())),
-          btb(cfg.btbSets, cfg.btbWays),
-          ras(cfg.rasDepth)
-    {
-    }
-
-    void reset()
-    {
-        hierarchy.reset();
-        predictor->reset();
-        btb.reset();
-        ras.reset();
-        // The way memos survive reset untouched: a hint is verified
-        // with a tag load before use, so stale entries cost a rescan
-        // at worst and can never change a result.
-    }
-
-    /**
-     * Grow the verified way memos to this plan's key spaces (never
-     * shrunk: a pooled lane may serve plans of different sizes, and
-     * stale contents are harmless by construction). 0xff is "no hint".
-     * Keys are replay-plan indices, which the kernel already has in
-     * hand: the data memo by memory-universe entry, the fetch/prefetch
-     * memos by (site, first-or-later line), the BTB memo by site.
-     */
-    void sizeMemos(size_t n_universe, size_t n_sites)
-    {
-        if (dataWayMemo.size() < n_universe)
-            dataWayMemo.resize(n_universe, 0xff);
-        if (fetchWayMemo.size() < n_sites * 2) {
-            fetchWayMemo.resize(n_sites * 2, 0xff);
-            prefWayMemo.resize(n_sites * 2, 0xff);
-        }
-        if (btbWayMemo.size() < n_sites)
-            btbWayMemo.resize(n_sites, 0xff);
-    }
-
-    bool predictAndTrain(Addr pc, bool taken)
-    {
-        return hybrid ? hybrid->predictAndTrain(pc, taken)
-                      : predictor->predictAndTrain(pc, taken);
-    }
-
-    cache::MemoryHierarchy hierarchy;
-    bpred::PredictorPtr predictor;
-    bpred::HybridPredictor *hybrid;
-    bpred::Btb btb;
-    bpred::ReturnAddressStack ras;
-
-    /** @{ Verified way memos (see sizeMemos). */
-    std::vector<u8> dataWayMemo;  ///< By memory-universe index.
-    std::vector<u8> fetchWayMemo; ///< By site * 2 + (line > first).
-    std::vector<u8> prefWayMemo;  ///< By site * 2 + (line > first).
-    std::vector<u8> btbWayMemo;   ///< By site index.
-    /** @} */
-};
-
-Machine::~Machine() = default;
-
 u64
 Machine::laneStateBytes() const
 {
-    // The Machine's own components are config-identical to a lane's,
-    // so their sizes stand in without allocating a lane.
     return hierarchy_.hotStateBytes() + predictor_->stateBytes() +
            btb_.hotStateBytes() + ras_.stateBytes();
-}
-
-u64
-Machine::laneMemoBytes(const trace::ReplayPlan &plan)
-{
-    // One byte per hint (see BatchLaneState::sizeMemos): data by
-    // universe entry, fetch and prefetch by (site, first-or-later
-    // line), BTB by site.
-    return plan.memUniverse.size() +
-           5 * static_cast<u64>(plan.siteCount());
-}
-
-MemoHintStats
-Machine::memoHintStats() const
-{
-    MemoHintStats s;
-    auto add_hier = [&s](const cache::MemoryHierarchy &h) {
-        cache::HintStats hs = h.hintStats();
-        s.probes += hs.probes;
-        s.verified += hs.verified;
-    };
-    auto add_btb = [&s](const bpred::Btb &b) {
-        s.probes += b.hintStats().probes;
-        s.verified += b.hintStats().verified;
-    };
-    add_hier(hierarchy_);
-    add_btb(btb_);
-    for (const auto &lane : lanePool_) {
-        add_hier(lane->hierarchy);
-        add_btb(lane->btb);
-    }
-    return s;
-}
-
-void
-Machine::setHintCounting(bool on)
-{
-    countHints_ = on;
-    hierarchy_.setHintCounting(on);
-    btb_.setHintCounting(on);
-    for (const auto &lane : lanePool_) {
-        lane->hierarchy.setHintCounting(on);
-        lane->btb.setHintCounting(on);
-    }
 }
 
 RunResult
@@ -675,411 +553,6 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
     res.l2DataMisses = hs.l2DataMisses;
     res.cycles = cycles;
     return res;
-}
-
-std::vector<RunResult>
-Machine::replayBatch(const trace::ReplayPlan &plan,
-                     const trace::BatchedLayoutTables &tables)
-{
-    const u32 k = tables.lanes();
-    INTERF_ASSERT(k >= 1 &&
-                  k <= trace::BatchedLayoutTables::kMaxLanes);
-    INTERF_ASSERT(tables.siteAddr.size() == plan.siteCount() * k);
-    // The kernel reads data addresses from the universe-indexed table;
-    // the per-position stream is optional (only the fuse-from-
-    // LayoutTables constructor materializes it, for verification).
-    INTERF_ASSERT(tables.uniAddr.size() == plan.memUniverse.size() * k);
-    INTERF_ASSERT(tables.dataAddr.empty() ||
-                  tables.dataAddr.size() == plan.memCount() * k);
-    INTERF_TELEM_COUNT("replay.batch_calls", 1);
-    // Decode amortization is events_decoded vs events: the batched
-    // pass decodes each event once for k lane replays of it.
-    INTERF_TELEM_COUNT("replay.events_decoded", plan.eventCount());
-    INTERF_TELEM_COUNT("replay.events", plan.eventCount() * k);
-    INTERF_TELEM_HISTOGRAM("replay.batch.lanes",
-                           (std::vector<u64>{1, 2, 4, 8, 16}), k);
-    INTERF_TELEM_GAUGE("replay.lane_state_bytes",
-                       static_cast<i64>(laneStateBytes()));
-    INTERF_TELEM_GAUGE("replay.lane_memo_bytes",
-                       static_cast<i64>(laneMemoBytes(plan)));
-    if (tables.allIdentityPages())
-        return replayBatchDispatch<true, false>(plan, tables);
-    if (tables.allLineTablesFor(cfg_.hierarchy.l1i.lineBytes))
-        return replayBatchDispatch<false, true>(plan, tables);
-    // Generic fallback: each lane translates through its own PageMap
-    // at replay time. Correct for any mix of lane page modes.
-    return replayBatchDispatch<false, false>(plan, tables);
-}
-
-template <bool IdentityPages, bool UseLineTable>
-std::vector<RunResult>
-Machine::replayBatchDispatch(const trace::ReplayPlan &plan,
-                             const trace::BatchedLayoutTables &tables)
-{
-    // The campaign lane widths (and the bench sweep) are 1/2/4/8;
-    // compiling those as constants lets every per-event lane loop
-    // unroll into straight-line code whose K independent tag scans the
-    // host can overlap. Other widths (ragged final groups) take the
-    // runtime-width body — same behaviour, less scheduling freedom.
-    switch (tables.lanes()) {
-      case 1:
-        return replayBatchImpl<1, IdentityPages, UseLineTable>(plan, tables);
-      case 2:
-        return replayBatchImpl<2, IdentityPages, UseLineTable>(plan, tables);
-      case 4:
-        return replayBatchImpl<4, IdentityPages, UseLineTable>(plan, tables);
-      case 8:
-        return replayBatchImpl<8, IdentityPages, UseLineTable>(plan, tables);
-      default:
-        return replayBatchImpl<0, IdentityPages, UseLineTable>(plan, tables);
-    }
-}
-
-/**
- * The batched replay kernel: replayImpl's event loop with the lane
- * dimension added. The per-event model steps and their order are
- * identical to replayImpl (and so to runReference) within each lane —
- * lanes are fully independent machines, so advancing them in lane
- * order inside each event cannot change any lane's outcome. What the
- * batch shares is the layout-invariant half of each event: one decode
- * of the plan record, one issue-slot computation, one instruction /
- * conditional-branch tally (the event stream is the same for every
- * layout). Tag scans are split probe-then-commit so the K independent
- * packed scans issue back-to-back (cache::Cache::accessFound,
- * bpred::Btb::updateFound). Any behavioural edit here must be made in
- * replayImpl and runReference too; test_replay.cc enforces per-lane
- * equality.
- */
-template <u32 kLanes, bool IdentityPages, bool UseLineTable>
-std::vector<RunResult>
-Machine::replayBatchImpl(const trace::ReplayPlan &plan,
-                         const trace::BatchedLayoutTables &tables)
-{
-    using trace::ReplayPlan;
-    // Compile-time lane count when the dispatcher pinned one; scratch
-    // arrays are sized exactly then, kMaxLanes for the runtime body.
-    constexpr u32 kMax =
-        kLanes ? kLanes : trace::BatchedLayoutTables::kMaxLanes;
-
-    const u32 k = kLanes ? kLanes : tables.lanes();
-    while (lanePool_.size() < k) {
-        lanePool_.push_back(std::make_unique<BatchLaneState>(cfg_));
-        lanePool_.back()->hierarchy.setHintCounting(countHints_);
-        lanePool_.back()->btb.setHintCounting(countHints_);
-    }
-    BatchLaneState *lanes[kMax];
-    for (u32 l = 0; l < k; ++l) {
-        lanes[l] = lanePool_[l].get();
-        lanes[l]->reset();
-        lanes[l]->sizeMemos(plan.memUniverse.size(), plan.siteCount());
-    }
-
-    // Verified way memos, raw per-lane pointers for the hot loop. The
-    // model's tag scans are the kernel's dominant cost, and replayed
-    // streams are extremely repetitive (the same site fetches the same
-    // lines, the same memory id hits the same set): remembering the
-    // way an address's line sat in last time and re-verifying it with
-    // a single tag load (Cache::probeWayHinted) removes the packed
-    // scan from the common path while remaining exact by construction.
-    u8 *data_memo[kMax];
-    u8 *fetch_memo[kMax];
-    u8 *pref_memo[kMax];
-    u8 *btb_memo[kMax];
-    for (u32 l = 0; l < k; ++l) {
-        data_memo[l] = lanes[l]->dataWayMemo.data();
-        fetch_memo[l] = lanes[l]->fetchWayMemo.data();
-        pref_memo[l] = lanes[l]->prefWayMemo.data();
-        btb_memo[l] = lanes[l]->btbWayMemo.data();
-    }
-
-    // Per-lane fetch-line translation sources (ragged per lane, so
-    // they stay in the per-lane tables rather than the gathered
-    // arrays).
-    const Addr *lane_line_phys[kMax] = {};
-    const u32 *lane_line_start[kMax] = {};
-    const layout::PageMap *lane_pages[kMax] = {};
-    for (u32 l = 0; l < k; ++l) {
-        lane_line_phys[l] = tables.lane(l).linePhys.data();
-        lane_line_start[l] = tables.lane(l).siteLineStart.data();
-        lane_pages[l] = &tables.lane(l).pages();
-    }
-
-    const u32 line_bytes = cfg_.hierarchy.l1i.lineBytes;
-    const u64 line_mask = ~static_cast<u64>(line_bytes - 1);
-
-    // Layout-invariant event-stream state: computed once per event and
-    // shared by every lane (the trace, and with it the instruction and
-    // conditional-branch streams, does not depend on the layout).
-    u64 instructions = 0;
-    Count cond_branches = 0;
-    u32 slot_carry = 0;
-    size_t mem_cursor = 0;
-
-    // Hot per-lane scalars as dense parallel arrays: all K copies of
-    // one scalar share a cache line (see ReplayLane's comment).
-    Cycle cycles[kMax] = {};
-    Addr last_fetch_line[kMax];
-    u64 cluster_start_inst[kMax] = {};
-    u32 cluster_outstanding[kMax] = {};
-    u32 last_load_latency[kMax] = {};
-    Count mispredicts[kMax] = {};
-    Count btb_misses[kMax] = {};
-    Count ras_mispredicts[kMax] = {};
-    for (u32 l = 0; l < k; ++l)
-        last_fetch_line[l] = ~Addr{0};
-
-    const Addr *site_addr = tables.siteAddr.data();
-    const Addr *branch_addr = tables.branchAddr.data();
-    const Addr *uni_addr = tables.uniAddr.data();
-    const u32 *mem_rank = plan.memRank.data();
-    const u32 *ev_site = plan.site.data();
-    const u32 *ev_bytes = plan.bytes.data();
-    const u16 *ev_insts = plan.nInsts.data();
-    const u8 *ev_extra = plan.extraExecCycles.data();
-    const u16 *ev_nmem = plan.nMem.data();
-    const u8 *ev_flags = plan.flags.data();
-    const u32 *ev_target = plan.targetSite.data();
-    const u32 *ev_ras_push = plan.rasPushSite.data();
-    const u32 *ev_return = plan.returnSite.data();
-    const u8 *mem_is_store = plan.memIsStore.data();
-
-    const u32 lat_by_level[3] = {cfg_.l1Latency, cfg_.l2Latency,
-                                 cfg_.memLatency};
-    auto stall = [](u32 lat) -> Cycle { return lat > 4 ? lat - 4 : 0; };
-    const Cycle fetch_stall_by_level[3] = {
-        0, stall(cfg_.l2Latency), stall(cfg_.memLatency)};
-
-    const u32 width = cfg_.width;
-    const bool width_pow2 = (width & (width - 1)) == 0;
-    const u32 width_shift =
-        static_cast<u32>(std::countr_zero(width ? width : 1u));
-
-    const size_t n = plan.eventCount();
-    const size_t warmup_events = static_cast<size_t>(
-        static_cast<double>(n) * cfg_.warmupFraction);
-
-    // lint:hot-begin batched replay event loop (tools/lint_hotpath.py)
-    auto run_events = [&](size_t lo, size_t hi) {
-    for (size_t ev_idx = lo; ev_idx < hi; ++ev_idx) {
-        // ---- Decode once; every lane replays this record.
-        const u32 s = ev_site[ev_idx];
-        const Addr *site_row = site_addr + static_cast<size_t>(s) * k;
-        const u32 block_bytes = ev_bytes[ev_idx];
-        const u8 f = ev_flags[ev_idx];
-
-        // ---- Front end, per lane: line membership and counts depend
-        // on where each layout placed the block. Way memos are keyed
-        // (site, first-or-later line): a block's lines for one lane
-        // are the same every time it executes, so two slots per site
-        // cover the overwhelmingly common 1-2 line blocks (longer
-        // blocks share the second slot, which only costs rescans).
-        for (u32 l = 0; l < k; ++l) {
-            const Addr addr = site_row[l];
-            Addr first_line = addr & line_mask;
-            Addr last_line = (addr + block_bytes - 1) & line_mask;
-            u32 li = UseLineTable ? lane_line_start[l][s] : 0;
-            u32 slot = static_cast<u32>(s) * 2;
-            for (Addr line = first_line; line <= last_line;
-                 line += line_bytes, ++li, slot = s * 2 + 1) {
-                if (line == last_fetch_line[l])
-                    continue; // same fetch group continuing
-                last_fetch_line[l] = line;
-                Addr paddr =
-                    IdentityPages
-                        ? line
-                        : (UseLineTable ? lane_line_phys[l][li]
-                                        : lane_pages[l]->translate(line));
-                cache::HitLevel level = lanes[l]->hierarchy.fetchInstHinted(
-                    paddr, fetch_memo[l][slot], pref_memo[l][slot]);
-                cycles[l] += fetch_stall_by_level[static_cast<u32>(level)];
-            }
-        }
-
-        // ---- Issue/retire: layout-invariant, computed once.
-        slot_carry += ev_insts[ev_idx];
-        Cycle issue_cycles;
-        if (width_pow2) {
-            issue_cycles = slot_carry >> width_shift;
-            slot_carry &= width - 1;
-        } else {
-            issue_cycles = slot_carry / width;
-            slot_carry %= width;
-        }
-        issue_cycles += ev_extra[ev_idx];
-        instructions += ev_insts[ev_idx];
-        for (u32 l = 0; l < k; ++l)
-            cycles[l] += issue_cycles;
-
-        // ---- Data accesses: the K addresses of reference m sit in
-        // one contiguous row of the universe-indexed table, reached
-        // through the shared rank stream. Probe all lanes first — the
-        // memo-verifying tag loads (and any fallback packed scans) are
-        // independent, so their set-row loads overlap — then commit
-        // per lane (stats, install, latency, clustering).
-        const u32 n_mem = ev_nmem[ev_idx];
-        if (n_mem != 0 || (f & ReplayPlan::kDependsOnLoad))
-            for (u32 l = 0; l < k; ++l)
-                last_load_latency[l] = 0;
-        for (u32 m = 0; m < n_mem; ++m, ++mem_cursor) {
-            const u32 u = mem_rank[mem_cursor];
-            const Addr *data_row =
-                uni_addr + static_cast<size_t>(u) * k;
-            const bool is_store = mem_is_store[mem_cursor] != 0;
-            u32 ways[kMax];
-            for (u32 l = 0; l < k; ++l)
-                ways[l] = lanes[l]->hierarchy.probeDataWayHinted(
-                    data_row[l], data_memo[l][u]);
-            for (u32 l = 0; l < k; ++l) {
-                cache::HitLevel level =
-                    lanes[l]->hierarchy.accessDataCommit(
-                        data_row[l], ways[l], data_memo[l][u]);
-                u32 lat = lat_by_level[static_cast<u32>(level)];
-                last_load_latency[l] =
-                    is_store ? last_load_latency[l] : lat;
-                if (level != cache::HitLevel::L1) {
-                    bool overlaps =
-                        instructions - cluster_start_inst[l] <=
-                            cfg_.robSize &&
-                        cluster_outstanding[l] > 0 &&
-                        cluster_outstanding[l] < cfg_.maxMlp;
-                    if (overlaps) {
-                        ++cluster_outstanding[l];
-                    } else {
-                        cycles[l] += lat;
-                        cluster_start_inst[l] = instructions;
-                        cluster_outstanding[l] = 1;
-                    }
-                }
-            }
-        }
-
-        // ---- Branch.
-        if (!(f & ReplayPlan::kHasBranch))
-            continue;
-        const Addr *branch_row =
-            branch_addr + static_cast<size_t>(s) * k;
-        const bool taken = (f & ReplayPlan::kTaken) != 0;
-        bool lane_mispredicted[kMax] = {};
-
-        if (f & ReplayPlan::kCond) {
-            ++cond_branches;
-            for (u32 l = 0; l < k; ++l) {
-                bool pred = lanes[l]->predictAndTrain(branch_row[l], taken);
-                if (pred != taken) {
-                    ++mispredicts[l];
-                    lane_mispredicted[l] = true;
-                    u32 resolve = (f & ReplayPlan::kDependsOnLoad) &&
-                                          last_load_latency[l] > 0
-                                      ? last_load_latency[l]
-                                      : static_cast<u32>(ev_extra[ev_idx]) +
-                                            1;
-                    cycles[l] += cfg_.frontendDepth + resolve;
-                }
-            }
-        }
-
-        // ---- Returns through each lane's return-address stack.
-        if (f & ReplayPlan::kReturn) {
-            const u32 ret = ev_return[ev_idx];
-            const Addr *ret_row =
-                ret != ReplayPlan::kNoSite
-                    ? site_addr + static_cast<size_t>(ret) * k
-                    : nullptr;
-            for (u32 l = 0; l < k; ++l) {
-                Addr predicted = lanes[l]->ras.pop();
-                Addr actual = ret_row ? ret_row[l] : 0;
-                if (actual != 0 && predicted != actual) {
-                    ++ras_mispredicts[l];
-                    cycles[l] += cfg_.frontendDepth;
-                }
-                last_fetch_line[l] = ~Addr{0};
-            }
-            continue;
-        }
-
-        // ---- Target prediction (BTB) for taken redirects: probe all
-        // lanes' scans back-to-back, then commit per lane. The BTB
-        // stores the plan's site index as the target token (site ids
-        // are shared across lanes; block addresses are injective per
-        // layout, so token equality is address equality — see
-        // replayImpl).
-        if (taken) {
-            const u32 target_site = ev_target[ev_idx];
-            const u32 push = ev_ras_push[ev_idx];
-            const Addr *push_row =
-                (f & ReplayPlan::kCall) && push != ReplayPlan::kNoSite
-                    ? site_addr + static_cast<size_t>(push) * k
-                    : nullptr;
-            u32 btb_ways[kMax];
-            for (u32 l = 0; l < k; ++l)
-                btb_ways[l] = lanes[l]->btb.probeWayHinted(
-                    branch_row[l], btb_memo[l][s]);
-            for (u32 l = 0; l < k; ++l) {
-                if (push_row)
-                    lanes[l]->ras.push(push_row[l]);
-                u32 way_now;
-                bpred::BtbResult hit = lanes[l]->btb.updateFoundAt(
-                    branch_row[l], target_site, btb_ways[l], way_now);
-                btb_memo[l][s] = static_cast<u8>(way_now);
-                bool target_ok = hit.hit && hit.target == target_site;
-                if (!target_ok) {
-                    ++btb_misses[l];
-                    if (!lane_mispredicted[l]) {
-                        if ((f & ReplayPlan::kIndirect) && hit.hit) {
-                            cycles[l] += cfg_.frontendDepth;
-                        } else {
-                            cycles[l] += cfg_.misfetchPenalty;
-                        }
-                    }
-                }
-                last_fetch_line[l] = ~Addr{0};
-            }
-        }
-    }
-    };
-    // lint:hot-end
-
-    if (warmup_events < n) {
-        run_events(0, warmup_events);
-        // End of warmup: forget everything measured so far, keep every
-        // lane's microarchitectural state (mirrors replayImpl).
-        instructions = 0;
-        cond_branches = 0;
-        slot_carry = 0;
-        for (u32 l = 0; l < k; ++l) {
-            cycles[l] = 0;
-            cluster_start_inst[l] = 0;
-            cluster_outstanding[l] = 0;
-            mispredicts[l] = 0;
-            btb_misses[l] = 0;
-            ras_mispredicts[l] = 0;
-            lanes[l]->hierarchy.clearStats();
-        }
-        run_events(warmup_events, n);
-    } else {
-        run_events(0, n);
-    }
-
-    INTERF_ASSERT(mem_cursor == plan.memCount());
-
-    std::vector<RunResult> out(k);
-    for (u32 l = 0; l < k; ++l) {
-        RunResult &r = out[l];
-        auto hs = lanes[l]->hierarchy.stats();
-        r.cycles = cycles[l];
-        r.instructions = instructions;
-        r.condBranches = cond_branches;
-        r.mispredicts = mispredicts[l];
-        r.l1iMisses = hs.l1i.misses;
-        r.l1dMisses = hs.l1d.misses;
-        r.l2Misses = hs.l2.misses;
-        r.l2InstMisses = hs.l2InstMisses;
-        r.l2PrefMisses = hs.l2PrefMisses;
-        r.l2DataMisses = hs.l2DataMisses;
-        r.btbMisses = btb_misses[l];
-        r.rasMispredicts = ras_mispredicts[l];
-    }
-    return out;
 }
 
 } // namespace interf::core

@@ -43,25 +43,6 @@
 namespace interf::core
 {
 
-/** One lane's machine state for replayBatch (defined in timing.cc). */
-struct BatchLaneState;
-
-/** Aggregated way-memo verification outcomes (Cache/Btb hinted
- *  probes), cumulative over a Machine's lifetime. */
-struct MemoHintStats
-{
-    u64 probes = 0;   ///< Hinted probes issued.
-    u64 verified = 0; ///< Answered by the one-load hint verification.
-
-    /** Fraction of hinted probes the memo answered (0 when none ran). */
-    double rate() const
-    {
-        return probes ? static_cast<double>(verified) /
-                            static_cast<double>(probes)
-                      : 0.0;
-    }
-};
-
 /** Deterministic outcome of one timing run (pre-noise). */
 struct RunResult
 {
@@ -92,7 +73,6 @@ class Machine
 {
   public:
     explicit Machine(const MachineConfig &config);
-    ~Machine(); // Out of line: the lane pool's type lives in timing.cc.
 
     /**
      * Execute a trace under a code + data layout.
@@ -135,30 +115,6 @@ class Machine
                      const trace::LayoutTables &tables);
 
     /**
-     * Replay a compiled plan under K layouts in one pass over the
-     * event stream: per event, the layout-invariant record (site,
-     * geometry, flags, targets, memory counts) is decoded once and K
-     * independent machine states — caches, BTB, predictor, RAS, PMU
-     * counters — advance through it, reading their addresses from the
-     * batched tables' lane-major arrays. Layout-invariant arithmetic
-     * (issue slots, instruction and conditional-branch tallies) is
-     * computed once and shared; tag scans of the K lanes issue
-     * back-to-back so their row loads overlap (see cache::Cache::
-     * accessFound). This multiplies layouts/sec for every consumer
-     * that evaluates many layouts against one profile.
-     *
-     * Result i is bit-identical to replay(plan, tables.lane(i)) — and
-     * therefore to runReference() — for every counter and cycle count,
-     * at any lane count and any lane grouping; tests/test_replay.cc
-     * proves it per lane against the reference model. Each lane runs
-     * from power-on state; the Machine's own microarchitectural state
-     * is neither read nor modified.
-     */
-    std::vector<RunResult>
-    replayBatch(const trace::ReplayPlan &plan,
-                const trace::BatchedLayoutTables &tables);
-
-    /**
      * The event-at-a-time reference implementation: walks Program and
      * Trace directly, one block event at a time. This is the
      * executable specification the replay kernel is tested against
@@ -174,32 +130,13 @@ class Machine
     const MachineConfig &config() const { return cfg_; }
 
     /**
-     * Microarchitectural hot-state bytes one replay lane keeps: the
+     * Microarchitectural hot-state bytes one replay keeps: the
      * hierarchy's tag/age/generation arrays, the predictor's counter
      * tables, the BTB, and the RAS ring — the state the compaction
-     * work budgets (DESIGN.md §5j) and the K-sweep trades against the
-     * host LLC. The bench reports it per row and replayBatch exports
-     * it as the `replay.lane_state_bytes` gauge. Plan-sized way memos
-     * are accounted separately by laneMemoBytes(): they scale with
-     * the workload's site/universe counts, not the modeled machine.
+     * work budgets (DESIGN.md §5j) against the host's caches. The
+     * bench reports it per row.
      */
     u64 laneStateBytes() const;
-
-    /** Bytes of per-lane way-memo hints (one byte per hint) a batched
-     *  lane adds on top of laneStateBytes() when replaying @p plan;
-     *  exported as the `replay.lane_memo_bytes` gauge. */
-    static u64 laneMemoBytes(const trace::ReplayPlan &plan);
-
-    /** Cumulative hinted-probe outcomes across the lane pool (L1I,
-     *  L1D and BTB way memos) plus the Machine's own structures. */
-    MemoHintStats memoHintStats() const;
-
-    /** Enable/disable hinted-probe outcome counting everywhere (the
-     *  Machine's own structures, pooled lanes, and lanes created
-     *  later). Off by default: the counters are diagnostics, and the
-     *  bench samples verify_rate in an untimed pass rather than tax
-     *  every timed round (see cache::HintStats). */
-    void setHintCounting(bool on);
 
   private:
     void resetState();
@@ -208,34 +145,11 @@ class Machine
     RunResult replayImpl(const trace::ReplayPlan &plan,
                          const trace::LayoutTables &tables);
 
-    /** Picks the compile-time lane-count instantiation for the current
-     *  batch width (1/2/4/8 unroll the per-event lane loops; other
-     *  widths run the runtime-width body). */
-    template <bool IdentityPages, bool UseLineTable>
-    std::vector<RunResult>
-    replayBatchDispatch(const trace::ReplayPlan &plan,
-                        const trace::BatchedLayoutTables &tables);
-
-    /** kLanes == 0 means "read the width from the tables at runtime". */
-    template <u32 kLanes, bool IdentityPages, bool UseLineTable>
-    std::vector<RunResult>
-    replayBatchImpl(const trace::ReplayPlan &plan,
-                    const trace::BatchedLayoutTables &tables);
-
     MachineConfig cfg_;
     cache::MemoryHierarchy hierarchy_;
     bpred::PredictorPtr predictor_;
     bpred::Btb btb_;
     bpred::ReturnAddressStack ras_;
-    /**
-     * Lane pool for replayBatch, grown lazily and reused across calls:
-     * a lane's hierarchy alone is megabytes of tag state, and
-     * reallocating (and page-faulting) it per batch cost more than the
-     * batched kernel saved. Lanes are reset to power-on state at the
-     * start of every batch, so reuse is invisible to results.
-     */
-    std::vector<std::unique_ptr<BatchLaneState>> lanePool_;
-    bool countHints_ = false; ///< setHintCounting() state for new lanes.
 };
 
 } // namespace interf::core

@@ -120,6 +120,10 @@ Campaign::pageMapFor(u32 index) const
 core::Measurement
 Campaign::measureOne(core::MeasurementRunner &runner, u32 index) const
 {
+    // Attribute the layout's spans to its seed (the campaign/batch ids
+    // are already on the thread's context).
+    telemetry::ScopedCandidateDigest candidate(cfg_.layoutSeedBase +
+                                               index);
     trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
         layout::CodeLayout code = codeLayoutFor(index);
@@ -132,80 +136,29 @@ Campaign::measureOne(core::MeasurementRunner &runner, u32 index) const
 }
 
 void
-Campaign::measureGroup(core::MeasurementRunner &runner, u32 first, u32 n,
-                       core::Measurement *out) const
-{
-    // Attribute the group's spans to its first lane's layout seed (the
-    // campaign/batch ids are already on the thread's context).
-    telemetry::ScopedCandidateDigest candidate(cfg_.layoutSeedBase +
-                                               first);
-    if (n == 1) {
-        *out = measureOne(runner, first);
-        return;
-    }
-    // Generate the K layout triples, then build the batched tables
-    // directly: the direct constructor materializes data addresses
-    // once into the lane-major universe table instead of building K
-    // per-position streams and transposing them (see
-    // trace::BatchedLayoutTables).
-    std::vector<layout::CodeLayout> codes;
-    std::vector<layout::HeapLayout> heaps;
-    std::vector<trace::BatchedLayoutTables::LaneSource> sources(n);
-    codes.reserve(n);
-    heaps.reserve(n);
-    trace::BatchedLayoutTables batched = [&] {
-        INTERF_SPAN("layout.gen");
-        for (u32 l = 0; l < n; ++l) {
-            const u32 index = first + l;
-            codes.push_back(codeLayoutFor(index));
-            heaps.push_back(heapLayoutFor(index));
-            sources[l] = {&codes[l], &heaps[l], pageMapFor(index)};
-        }
-        return trace::BatchedLayoutTables(
-            plan_, sources, cfg_.machine.hierarchy.l1i.lineBytes);
-    }();
-    INTERF_TELEM_COUNT("layout.tables_built", n);
-    std::vector<u64> seeds(n);
-    for (u32 l = 0; l < n; ++l)
-        seeds[l] = cfg_.layoutSeedBase + first + l;
-    auto samples = runner.measureBatch(plan_, batched, seeds);
-    for (u32 l = 0; l < n; ++l)
-        out[l] = samples[l];
-}
-
-u32
-Campaign::laneWidth() const
-{
-    return std::clamp<u32>(cfg_.batchLanes, 1,
-                           trace::BatchedLayoutTables::kMaxLanes);
-}
-
-void
 Campaign::measureRange(u32 first, u32 count,
                        std::vector<core::Measurement> &out,
                        u32 out_offset)
 {
     const u32 jobs = exec::ThreadPool::resolveJobs(cfg_.jobs);
-    const u32 lanes = laneWidth();
-    // Progress tick per finished group. Workers land here too, so the
+    // Progress tick per finished layout. Workers land here too, so the
     // tracker (not thread-safe by itself) is fed under a mutex; when no
     // tracker is installed (telemetry off) this is one pointer test.
-    auto note_progress = [this](u32 n) {
+    auto note_progress = [this] {
         if (!telemetry::enabled())
             return;
         std::lock_guard<std::mutex> lock(progressMutex_);
         if (progress_ == nullptr)
             return;
-        progressDone_ += n;
+        ++progressDone_;
         progress_->update(progressDone_, progressCached_,
                           progressDone_ - progressCached_);
     };
     if (jobs <= 1 || count <= 1) {
         INTERF_SPAN_PHASE("replay.batch");
-        for (u32 k = 0; k < count; k += lanes) {
-            const u32 n = std::min(lanes, count - k);
-            measureGroup(runner_, first + k, n, &out[out_offset + k]);
-            note_progress(n);
+        for (u32 k = 0; k < count; ++k) {
+            out[out_offset + k] = measureOne(runner_, first + k);
+            note_progress();
         }
         return;
     }
@@ -213,19 +166,16 @@ Campaign::measureRange(u32 first, u32 count,
         pool_ = std::make_unique<exec::ThreadPool>(jobs);
     // Workers share the immutable Program/Trace and own everything
     // mutable: a fresh MeasurementRunner (Machine) per chunk plus the
-    // per-layout code/heap/page state derived inside measureGroup. Slot
-    // out_offset + k always holds layout first + k, and a batch lane's
-    // sample is bit-identical to the unbatched measurement of the same
-    // layout, so neither scheduling nor lane grouping can reorder or
-    // otherwise perturb the samples.
+    // per-layout code/heap/page state derived inside measureOne. Slot
+    // out_offset + k always holds layout first + k, so scheduling cannot
+    // reorder or otherwise perturb the samples.
     exec::parallelForChunks(*pool_, count, [&](size_t begin, size_t end) {
         INTERF_SPAN_PHASE("replay.batch");
         core::MeasurementRunner runner(cfg_.machine, cfg_.runner);
-        for (size_t k = begin; k < end; k += lanes) {
-            u32 n = static_cast<u32>(std::min<size_t>(lanes, end - k));
-            measureGroup(runner, first + static_cast<u32>(k), n,
-                         &out[out_offset + k]);
-            note_progress(n);
+        for (size_t k = begin; k < end; ++k) {
+            out[out_offset + k] =
+                measureOne(runner, first + static_cast<u32>(k));
+            note_progress();
         }
     });
 }

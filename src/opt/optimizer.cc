@@ -105,8 +105,8 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
     }
     plan_ = trace::ReplayPlan(program_, trace_);
     // Fail closed (every build type): refuse a machine config whose
-    // geometry breaks a compaction invariant before the first replay
-    // lane is built. See analyze::requireSoundMachine.
+    // geometry breaks a compaction invariant before the first replay.
+    // See analyze::requireSoundMachine.
     analyze::requireSoundMachine(cfg_.machine, &plan_,
                                  "Optimizer machine config");
     baseKey_ = store::fitnessBaseKey(
@@ -126,13 +126,6 @@ FitnessOracle::pageMap() const
     return layout::PageMap(cfg_.pageSeed);
 }
 
-u32
-FitnessOracle::laneWidth() const
-{
-    return std::clamp<u32>(cfg_.batchLanes, 1,
-                           trace::BatchedLayoutTables::kMaxLanes);
-}
-
 CandidateLayout
 FitnessOracle::seededCandidate(u64 layout_seed) const
 {
@@ -144,30 +137,19 @@ FitnessOracle::seededCandidate(u64 layout_seed) const
     return cand;
 }
 
-void
-FitnessOracle::measureGroup(core::MeasurementRunner &runner,
-                            const CandidateLayout *const *cands,
-                            const u64 *digests, u32 n,
-                            core::Measurement *out) const
+core::Measurement
+FitnessOracle::measureOne(core::MeasurementRunner &runner,
+                          const CandidateLayout &cand, u64 digest) const
 {
-    // Attribute this group's spans to its first lane's content digest
-    // (base key / batch ordinal are already on the thread's context).
-    telemetry::ScopedCandidateDigest candidate(digests[0]);
-    auto heap_key = [&](const CandidateLayout &cand) {
-        layout::HeapKey key;
-        key.randomize = cfg_.randomizeHeap;
-        key.seed = cand.heapSeed;
-        return key;
-    };
+    // Attribute this candidate's spans to its content digest (base key
+    // / batch ordinal are already on the thread's context).
+    telemetry::ScopedCandidateDigest candidate(digest);
     // Trust boundary: Neighborhood moves construct these specs by
     // permutation editing, so they should be injective by
     // construction — prove it statically (O(procs) per spec, no
     // tables) before fillCode's runtime check could trip on them.
     if (verify::verifyOnTrust()) {
-        std::vector<layout::LayoutSpec> specs;
-        specs.reserve(n);
-        for (u32 l = 0; l < n; ++l)
-            specs.push_back(cands[l]->code);
+        std::vector<layout::LayoutSpec> specs{cand.code};
         verify::Artifacts a;
         a.program = &program_;
         a.layoutSpecs = &specs;
@@ -176,38 +158,18 @@ FitnessOracle::measureGroup(core::MeasurementRunner &runner,
         analyze::makeLayoutInjectivity()->run(a, result);
         verify::requireClean(result, "Optimizer candidate layouts");
     }
-    if (n == 1) {
-        trace::LayoutTables tables = [&] {
-            INTERF_SPAN("layout.gen");
-            layout::CodeLayout code = linker_.link(program_, cands[0]->code);
-            layout::HeapLayout heap(program_, heap_key(*cands[0]));
-            return trace::LayoutTables(plan_, code, heap, pageMap(),
-                                       cfg_.machine.hierarchy.l1i.lineBytes);
-        }();
-        INTERF_TELEM_COUNT("layout.tables_built", 1);
-        out[0] = runner.measure(plan_, tables, digests[0]);
-        return;
-    }
-    std::vector<layout::CodeLayout> codes;
-    std::vector<layout::HeapLayout> heaps;
-    std::vector<trace::BatchedLayoutTables::LaneSource> sources(n);
-    codes.reserve(n);
-    heaps.reserve(n);
-    trace::BatchedLayoutTables batched = [&] {
+    trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
-        for (u32 l = 0; l < n; ++l) {
-            codes.push_back(linker_.link(program_, cands[l]->code));
-            heaps.emplace_back(program_, heap_key(*cands[l]));
-            sources[l] = {&codes[l], &heaps[l], pageMap()};
-        }
-        return trace::BatchedLayoutTables(
-            plan_, sources, cfg_.machine.hierarchy.l1i.lineBytes);
+        layout::CodeLayout code = linker_.link(program_, cand.code);
+        layout::HeapKey heap_key;
+        heap_key.randomize = cfg_.randomizeHeap;
+        heap_key.seed = cand.heapSeed;
+        layout::HeapLayout heap(program_, heap_key);
+        return trace::LayoutTables(plan_, code, heap, pageMap(),
+                                   cfg_.machine.hierarchy.l1i.lineBytes);
     }();
-    INTERF_TELEM_COUNT("layout.tables_built", n);
-    std::vector<u64> seeds(digests, digests + n);
-    auto samples = runner.measureBatch(plan_, batched, seeds);
-    for (u32 l = 0; l < n; ++l)
-        out[l] = samples[l];
+    INTERF_TELEM_COUNT("layout.tables_built", 1);
+    return runner.measure(plan_, tables, digest);
 }
 
 void
@@ -280,44 +242,29 @@ FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
         tick(count - fresh.size(), count - fresh.size(), 0);
 
     if (!fresh.empty()) {
-        const u32 lanes = laneWidth();
         const u32 n = static_cast<u32>(fresh.size());
-        const u32 groups = (n + lanes - 1) / lanes;
-        // Each group is one batched replay pass; lane i of a batch is
-        // bit-identical to the unbatched measurement of the same
-        // candidate and each candidate's noise seed is its digest, so
-        // neither grouping nor scheduling can change a byte of out.
-        auto run_group = [&](core::MeasurementRunner &runner, u32 g) {
-            const u32 beg = g * lanes;
-            const u32 cnt = std::min(lanes, n - beg);
-            std::vector<const CandidateLayout *> ptrs(cnt);
-            std::vector<u64> ds(cnt);
-            std::vector<core::Measurement> group(cnt);
-            for (u32 l = 0; l < cnt; ++l) {
-                ptrs[l] = &cands[fresh[beg + l]];
-                ds[l] = digests[fresh[beg + l]];
-            }
-            measureGroup(runner, ptrs.data(), ds.data(), cnt,
-                         group.data());
-            for (u32 l = 0; l < cnt; ++l)
-                out[fresh[beg + l]] = group[l];
-            tick(cnt, 0, cnt);
+        // Each candidate's noise seed is its digest, so scheduling
+        // cannot change a byte of out.
+        auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
+            const u32 i = fresh[k];
+            out[i] = measureOne(runner, cands[i], digests[i]);
+            tick(1, 0, 1);
         };
         const u32 jobs = exec::ThreadPool::resolveJobs(cfg_.jobs);
-        if (jobs <= 1 || groups <= 1) {
+        if (jobs <= 1 || n <= 1) {
             INTERF_SPAN_PHASE("replay.batch");
-            for (u32 g = 0; g < groups; ++g)
-                run_group(runner_, g);
+            for (u32 k = 0; k < n; ++k)
+                run_one(runner_, k);
         } else {
             if (!pool_ || pool_->workers() != jobs)
                 pool_ = std::make_unique<exec::ThreadPool>(jobs);
             exec::parallelForChunks(
-                *pool_, groups, [&](size_t begin, size_t end) {
+                *pool_, n, [&](size_t begin, size_t end) {
                     INTERF_SPAN_PHASE("replay.batch");
                     core::MeasurementRunner runner(cfg_.machine,
                                                    cfg_.runner);
-                    for (size_t g = begin; g < end; ++g)
-                        run_group(runner, static_cast<u32>(g));
+                    for (size_t k = begin; k < end; ++k)
+                        run_one(runner, static_cast<u32>(k));
                 });
         }
         freshEvals_ += n;

@@ -1,11 +1,11 @@
 /**
  * @file
- * Layout-space search driven by batched replay as the fitness oracle.
+ * Layout-space search driven by plan replay as the fitness oracle.
  *
  * Interferometry measures how much performance a layout is worth; this
  * subsystem turns the instrument around and *searches* the layout
  * space: propose neighbors of the current candidate (opt/neighborhood),
- * measure K of them per Machine::replayBatch pass, and walk toward
+ * measure each with Machine::replay, and walk toward
  * fewer cycles. Two strategies sit behind the one Optimizer interface —
  * greedy hill-climbing (accept the best improving proposal) and
  * simulated annealing (Metropolis acceptance under a deterministic
@@ -14,11 +14,11 @@
  * Determinism discipline, same as campaigns: the search seed fixes the
  * full proposal/acceptance sequence; a candidate's measurement noise
  * seed is its content digest, so its fitness is identical no matter
- * when, in which lane group, or on which worker it is measured; and
+ * when or on which worker it is measured; and
  * fitness caching (in-memory memo + store::FitnessStore) can therefore
  * never change a result, only skip a measurement. Consequently the
  * SearchTrajectory is byte-identical across reruns for a fixed seed at
- * any --jobs, any --batch, and cold or warm store — which the
+ * any --jobs and cold or warm store — which the
  * determinism tests assert literally (tests/test_opt.cc).
  */
 
@@ -68,12 +68,11 @@ struct OptConfig
     /**
      * Candidates proposed from the current point per search step. This
      * is search semantics (it shapes the trajectory), distinct from
-     * batchLanes, which only groups fresh measurements into replay
-     * passes and can never change a byte of output.
+     * jobs, which only spreads fresh measurements over workers and can
+     * never change a byte of output.
      */
     u32 proposalsPerStep = 4;
-    u32 batchLanes = 4; ///< Execution knob: lanes per replay pass.
-    u32 jobs = 1;       ///< Execution knob: 0 = hardware threads.
+    u32 jobs = 1; ///< Execution knob: 0 = hardware threads.
     /**
      * Random layouts evaluated first (counted against the budget) to
      * seed the search: the best becomes the starting point, and with
@@ -148,9 +147,8 @@ struct OptResult
  * Measurement backend of the search: owns the program, trace and
  * compiled plan (built once, exactly like a Campaign) plus the fitness
  * memo and optional on-disk cache. evaluate() is the only entry point;
- * it batches fresh candidates into replay passes of up to batchLanes
- * lanes and fans groups out to jobs workers, neither of which can
- * change a byte of any result.
+ * it fans fresh candidates out to jobs workers, which cannot change a
+ * byte of any result.
  */
 class FitnessOracle
 {
@@ -193,21 +191,19 @@ class FitnessOracle
     /**
      * Install (or, with nullptr, remove) a progress tracker that
      * evaluate() ticks per classified-cached candidate and per finished
-     * replay group — including from pool workers. The tracker must
+     * replay — including from pool workers. The tracker must
      * outlive its installation; the search loops install one for the
      * duration of run(). Observe-only, like all telemetry.
      */
     void setProgressTracker(telemetry::ProgressTracker *tracker);
 
   private:
-    /** Measure @p n candidates as one batched replay pass. */
-    void measureGroup(core::MeasurementRunner &runner,
-                      const CandidateLayout *const *cands,
-                      const u64 *digests, u32 n,
-                      core::Measurement *out) const;
+    /** Link, derive and measure @p cand (noise seed @p digest). */
+    core::Measurement measureOne(core::MeasurementRunner &runner,
+                                 const CandidateLayout &cand,
+                                 u64 digest) const;
 
     layout::PageMap pageMap() const;
-    u32 laneWidth() const;
 
     workloads::WorkloadProfile profile_;
     OptConfig cfg_;

@@ -39,7 +39,7 @@ namespace interf::store
  * Everything that shapes a fitness measurement other than the candidate
  * layout itself. Two optimizer runs (or an optimizer and a later
  * verification pass) share cache entries iff their base keys match.
- * Execution knobs (jobs, batch lanes, proposals per step, strategy,
+ * Execution knobs (jobs, proposals per step, strategy,
  * search seed) are intentionally excluded: none can change a candidate
  * measurement's bytes.
  */

@@ -161,9 +161,8 @@ campaignKey(const trace::Program &prog, u64 behaviour_seed,
     d.mix(cfg.layoutSeedBase);
     mixMachineConfig(d, cfg.machine);
     mixRunnerConfig(d, cfg.runner);
-    // cfg.jobs, cfg.batchLanes and cfg.storeDir are intentionally NOT
-    // mixed: none can change a sample's bytes (see campaignKey's doc
-    // comment).
+    // cfg.jobs and cfg.storeDir are intentionally NOT mixed: neither
+    // can change a sample's bytes (see campaignKey's doc comment).
     return d.value();
 }
 

@@ -209,31 +209,21 @@ LayoutTables::LayoutTables(const ReplayPlan &plan,
     // translating per access and moves the page permutation out of the
     // replay hot loop entirely. Each unique id is decoded once; the
     // stream gathers through the plan's rank table.
-    uniAddr.resize(plan.memUniverse.size());
+    std::vector<Addr> uni_addr(plan.memUniverse.size());
     if (pages_.isIdentity()) {
-        for (size_t u = 0; u < uniAddr.size(); ++u)
-            uniAddr[u] = heap.dataAddr(plan.memUniverse[u]);
+        for (size_t u = 0; u < uni_addr.size(); ++u)
+            uni_addr[u] = heap.dataAddr(plan.memUniverse[u]);
     } else {
-        for (size_t u = 0; u < uniAddr.size(); ++u)
-            uniAddr[u] =
+        for (size_t u = 0; u < uni_addr.size(); ++u)
+            uni_addr[u] =
                 pages_.translate(heap.dataAddr(plan.memUniverse[u]));
     }
     const size_t n_mem = plan.memCount();
     dataAddr.resize(n_mem);
     const u32 *rank = plan.memRank.data();
     for (size_t j = 0; j < n_mem; ++j)
-        dataAddr[j] = uniAddr[rank[j]];
+        dataAddr[j] = uni_addr[rank[j]];
 
-    buildLineTable(plan, fetch_line_bytes);
-}
-
-LayoutTables::LayoutTables(const ReplayPlan &plan,
-                           const layout::CodeLayout &code,
-                           const layout::PageMap &pages,
-                           u32 fetch_line_bytes, NoDataTag)
-    : pages_(pages)
-{
-    fillCode(plan, code);
     buildLineTable(plan, fetch_line_bytes);
 }
 
@@ -263,110 +253,6 @@ LayoutTables::buildLineTable(const ReplayPlan &plan, u32 fetch_line_bytes)
             for (u32 k = siteLineStart[s]; k < siteLineStart[s + 1];
                  ++k, line += fetch_line_bytes)
                 linePhys[k] = pages_.translate(line);
-        }
-    }
-}
-
-BatchedLayoutTables::BatchedLayoutTables(
-    const ReplayPlan &plan, std::vector<LayoutTables> lane_tables)
-    : lanes_(static_cast<u32>(lane_tables.size())),
-      laneTables_(std::move(lane_tables))
-{
-    INTERF_ASSERT(lanes_ >= 1 && lanes_ <= kMaxLanes);
-    const size_t n_sites = plan.siteCount();
-    const size_t n_mem = plan.memCount();
-    for (const LayoutTables &t : laneTables_) {
-        INTERF_ASSERT(t.hasData());
-        INTERF_ASSERT(t.siteAddr.size() == n_sites);
-        INTERF_ASSERT(t.dataAddr.size() == n_mem);
-        if (!t.identityPages())
-            allIdentity_ = false;
-    }
-
-    // A uniform line-table mode requires every lane to have built its
-    // fetch-line table for the same line size; any lane without one
-    // (identity pages skip it) drops the whole batch to the generic
-    // translate-at-replay path, which is correct for any mix.
-    lineTableBytes_ = laneTables_[0].fetchLineBytes();
-    for (const LayoutTables &t : laneTables_)
-        if (t.fetchLineBytes() != lineTableBytes_ ||
-            t.siteLineStart.size() != n_sites + 1)
-            lineTableBytes_ = 0;
-
-    // Gather lane-major: the transpose costs one pass per lane here and
-    // buys the kernel contiguous K-wide loads on every event.
-    const u32 k = lanes_;
-    const size_t n_uni = plan.memUniverse.size();
-    siteAddr.resize(n_sites * k);
-    branchAddr.resize(n_sites * k);
-    uniAddr.resize(n_uni * k);
-    dataAddr.resize(n_mem * k);
-    for (u32 l = 0; l < k; ++l) {
-        const LayoutTables &t = laneTables_[l];
-        INTERF_ASSERT(t.uniAddr.size() == n_uni);
-        for (size_t s = 0; s < n_sites; ++s) {
-            siteAddr[s * k + l] = t.siteAddr[s];
-            branchAddr[s * k + l] = t.branchAddr[s];
-        }
-        for (size_t u = 0; u < n_uni; ++u)
-            uniAddr[u * k + l] = t.uniAddr[u];
-        for (size_t j = 0; j < n_mem; ++j)
-            dataAddr[j * k + l] = t.dataAddr[j];
-    }
-}
-
-BatchedLayoutTables::BatchedLayoutTables(
-    const ReplayPlan &plan, const std::vector<LaneSource> &lane_layouts,
-    u32 fetch_line_bytes)
-    : lanes_(static_cast<u32>(lane_layouts.size()))
-{
-    INTERF_ASSERT(lanes_ >= 1 && lanes_ <= kMaxLanes);
-    const u32 k = lanes_;
-
-    // Per-lane tables without data streams: code addresses, fetch-line
-    // tables and the page map — everything the kernel reads per lane.
-    laneTables_.reserve(k);
-    for (const LaneSource &src : lane_layouts) {
-        INTERF_ASSERT(src.code != nullptr && src.heap != nullptr);
-        laneTables_.emplace_back(LayoutTables(
-            plan, *src.code, src.pages, fetch_line_bytes,
-            LayoutTables::NoDataTag{}));
-        if (!src.pages.isIdentity())
-            allIdentity_ = false;
-    }
-    const size_t n_sites = plan.siteCount();
-    lineTableBytes_ = laneTables_[0].fetchLineBytes();
-    for (const LayoutTables &t : laneTables_)
-        if (t.fetchLineBytes() != lineTableBytes_ ||
-            t.siteLineStart.size() != n_sites + 1)
-            lineTableBytes_ = 0;
-
-    siteAddr.resize(n_sites * k);
-    branchAddr.resize(n_sites * k);
-    for (u32 l = 0; l < k; ++l) {
-        const LayoutTables &t = laneTables_[l];
-        for (size_t s = 0; s < n_sites; ++s) {
-            siteAddr[s * k + l] = t.siteAddr[s];
-            branchAddr[s * k + l] = t.branchAddr[s];
-        }
-    }
-
-    // Data addresses straight into the lane-major universe table: each
-    // distinct memory id is decoded and translated exactly once per
-    // lane, and no per-position stream is ever materialized (the
-    // kernel gathers through plan.memRank at replay time).
-    const size_t n_uni = plan.memUniverse.size();
-    uniAddr.resize(n_uni * k);
-    for (u32 l = 0; l < k; ++l) {
-        const layout::HeapLayout &heap = *lane_layouts[l].heap;
-        const layout::PageMap &pg = laneTables_[l].pages();
-        if (pg.isIdentity()) {
-            for (size_t u = 0; u < n_uni; ++u)
-                uniAddr[u * k + l] = heap.dataAddr(plan.memUniverse[u]);
-        } else {
-            for (size_t u = 0; u < n_uni; ++u)
-                uniAddr[u * k + l] =
-                    pg.translate(heap.dataAddr(plan.memUniverse[u]));
         }
     }
 }

@@ -175,15 +175,6 @@ class LayoutTables
     std::vector<Addr> dataAddr;
 
     /**
-     * Pre-translated data address per memory-*universe* entry (see
-     * ReplayPlan::memUniverse): dataAddr[m] == uniAddr[memRank[m]] by
-     * construction. The stream table above is its gather through
-     * memRank; batched replay reads this deduplicated form instead,
-     * one row per distinct id rather than per access.
-     */
-    std::vector<Addr> uniAddr;
-
-    /**
      * @{ Pre-translated instruction fetch lines (non-identity page
      * maps only): site s's k-th line is linePhys[siteLineStart[s] + k].
      * Line counts are per layout (they depend on the block's placement
@@ -206,25 +197,6 @@ class LayoutTables
     u32 fetchLineBytes() const { return fetchLineBytes_; }
 
   private:
-    friend class BatchedLayoutTables;
-
-    /** Tag for the code-and-lines-only constructor below. */
-    struct NoDataTag
-    {
-    };
-
-    /**
-     * Code tables + fetch-line tables, no data-address stream: the
-     * per-lane tables of BatchedLayoutTables' direct constructor,
-     * which materializes data addresses once in the batched uniAddr
-     * instead of per lane. hasData() stays false — Machine::replay
-     * cannot run these — but the batched kernel only reads the line
-     * tables and page map from them.
-     */
-    LayoutTables(const ReplayPlan &plan, const layout::CodeLayout &code,
-                 const layout::PageMap &pages, u32 fetch_line_bytes,
-                 NoDataTag);
-
     void fillCode(const ReplayPlan &plan, const layout::CodeLayout &code);
 
     /** Build linePhys/siteLineStart (non-identity page maps only). */
@@ -233,108 +205,6 @@ class LayoutTables
     layout::PageMap pages_;
     bool hasData_ = false;
     u32 fetchLineBytes_ = 0;
-};
-
-/**
- * K layouts' address tables fused for one batched replay pass
- * (Machine::replayBatch): the per-layout LayoutTables gathered into
- * lane-major SoA-across-layouts arrays, so the K addresses one event
- * needs sit in contiguous memory.
- *
- * Lane-major means entry (index i, lane l) lives at [i * lanes() + l]:
- * when the batched kernel processes event e, the K site addresses (and
- * the K data addresses of each of e's memory references) are loaded
- * from one or two host cache lines instead of K scattered per-layout
- * tables. The original per-lane tables are kept too — fetch-line
- * tables are ragged per lane (line membership depends on each layout's
- * block placement) and each lane carries its own PageMap.
- *
- * Immutable after construction and safe to share across threads, like
- * the LayoutTables it is built from.
- */
-class BatchedLayoutTables
-{
-  public:
-    /** Kernel scratch arrays are sized for this many lanes. */
-    static constexpr u32 kMaxLanes = 16;
-
-    /** One lane's layout triple for the direct constructor. */
-    struct LaneSource
-    {
-        const layout::CodeLayout *code = nullptr;
-        const layout::HeapLayout *heap = nullptr;
-        layout::PageMap pages;
-    };
-
-    BatchedLayoutTables() = default;
-
-    /**
-     * Fuse @p lane_tables (all built against @p plan, all with data
-     * addresses) into lane-major batched arrays. 1 <= K <= kMaxLanes.
-     * This path also gathers the per-position dataAddr stream, making
-     * it the verification-friendly constructor; hot callers use the
-     * direct constructor below.
-     */
-    BatchedLayoutTables(const ReplayPlan &plan,
-                        std::vector<LayoutTables> lane_tables);
-
-    /**
-     * Build batched tables directly from K layout triples, skipping
-     * the per-lane LayoutTables data streams entirely: data addresses
-     * are materialized once into the lane-major uniAddr (one row per
-     * distinct memory id — typically ~10x smaller than the access
-     * stream), which is the only data table the batched kernel reads.
-     * The campaign and bench batched paths use this; per-lane tables
-     * still carry code addresses, fetch-line tables and page maps.
-     */
-    BatchedLayoutTables(const ReplayPlan &plan,
-                        const std::vector<LaneSource> &lane_layouts,
-                        u32 fetch_line_bytes = 64);
-
-    /** Number of layout lanes K. */
-    u32 lanes() const { return lanes_; }
-
-    /** Lane @p l's original per-layout tables (fetch lines, pages). */
-    const LayoutTables &lane(u32 l) const { return laneTables_[l]; }
-
-    /** @{ Lane-major gathered arrays; entry (i, lane) at
-     *  [i * lanes() + lane]. */
-    std::vector<Addr> siteAddr;   ///< siteCount() x K block starts.
-    std::vector<Addr> branchAddr; ///< siteCount() x K terminators.
-    /**
-     * memUniverse.size() x K pre-translated data addresses: the
-     * batched kernel resolves memory reference m of lane l as
-     * uniAddr[memRank[m] * K + l]. Indexing by universe entry instead
-     * of stream position keeps the table at one row per distinct id.
-     */
-    std::vector<Addr> uniAddr;
-    /**
-     * memCount() x K pre-translated, by stream position:
-     * dataAddr[m * K + l] == uniAddr[memRank[m] * K + l]. Only the
-     * fuse-from-LayoutTables constructor materializes it (tests and
-     * verification read it); the direct constructor leaves it empty
-     * since the kernel reads uniAddr.
-     */
-    std::vector<Addr> dataAddr;
-    /** @} */
-
-    /** True when every lane uses the identity page mapping. */
-    bool allIdentityPages() const { return allIdentity_; }
-
-    /**
-     * True when every lane pre-translated its fetch lines for
-     * @p line_bytes (the batched kernel's line-table fast path).
-     */
-    bool allLineTablesFor(u32 line_bytes) const
-    {
-        return lineTableBytes_ != 0 && lineTableBytes_ == line_bytes;
-    }
-
-  private:
-    u32 lanes_ = 0;
-    bool allIdentity_ = true;
-    u32 lineTableBytes_ = 0; ///< Common fetchLineBytes, 0 if mixed/none.
-    std::vector<LayoutTables> laneTables_;
 };
 
 } // namespace interf::trace

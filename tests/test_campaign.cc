@@ -207,28 +207,23 @@ TEST(Campaign, ParallelMatchesSerialWithHeapAndPages)
                            parallel.measureLayouts(0, 10));
 }
 
-TEST(Campaign, BatchLanesProduceIdenticalSamplesAtAnyWidthAndJobs)
+TEST(Campaign, RaggedChunksProduceIdenticalSamplesAtAnyJobs)
 {
-    // batchLanes is an execution knob like jobs: any lane grouping, at
-    // any worker count, yields seed-for-seed byte-identical samples.
-    // Width 3 makes groups straddle the 13-layout range raggedly; 8
-    // exceeds the serial chunk a 4-worker pool gets for some chunks.
+    // Any worker count yields seed-for-seed byte-identical samples,
+    // including counts whose chunks split the 13-layout range
+    // raggedly.
     auto profile = workloads::defaultProfile("camp");
     auto base_cfg = quickConfig(13);
     base_cfg.randomizeHeap = true;
     base_cfg.physicalPages = true;
     base_cfg.jobs = 1;
-    base_cfg.batchLanes = 1;
     Campaign baseline(profile, base_cfg);
     auto expected = baseline.measureLayouts(0, 13);
-    for (u32 lanes : {3u, 4u, 8u}) {
-        for (u32 jobs : {1u, 4u}) {
-            auto cfg = base_cfg;
-            cfg.batchLanes = lanes;
-            cfg.jobs = jobs;
-            Campaign camp(profile, cfg);
-            expectSamplesIdentical(expected, camp.measureLayouts(0, 13));
-        }
+    for (u32 jobs : {3u, 4u}) {
+        auto cfg = base_cfg;
+        cfg.jobs = jobs;
+        Campaign camp(profile, cfg);
+        expectSamplesIdentical(expected, camp.measureLayouts(0, 13));
     }
 }
 
@@ -424,14 +419,13 @@ TEST(CampaignStore, GapBeyondStoreIsMeasuredNotPersisted)
 TEST(CampaignStore, PartiallyCachedRunBuildsTablesOnlyForUnmeasured)
 {
     // Layout tables are expensive to build; a partially-cached run must
-    // derive them only for the lanes it actually replays, never for the
-    // layouts served from the store. Proven via the layout.tables_built
-    // counter, which both measureOne and the batched group increment.
+    // derive them only for the layouts it actually replays, never for
+    // the layouts served from the store. Proven via the
+    // layout.tables_built counter, which measureOne increments.
     auto profile = workloads::defaultProfile("camp");
     TempStore store;
     auto cfg = quickConfig(8);
     cfg.storeDir = store.path;
-    cfg.batchLanes = 4;
 
     // Cold prefix: persist layouts [0, 5) with telemetry off.
     {

@@ -1,7 +1,7 @@
 /** @file Tests for the layout-space optimizer (src/opt) and its
  *  fitness store: move validity under the LayoutVerifier across
  *  profiles, seeds and every move kind; candidate digests; trajectory
- *  byte-determinism at any jobs/batch and cold vs warm store; the
+ *  byte-determinism at any jobs and cold vs warm store; the
  *  FitnessStore round trip; and the golden end-to-end claim that both
  *  strategies beat best-of-N random at an equal evaluation budget. */
 
@@ -359,7 +359,7 @@ TEST(FitnessStore, BaseKeySeparatesSearchSetups)
 
 // ---------------------------------------------------------------------
 // Determinism: identical seeds -> byte-identical trajectories and
-// final layouts at any jobs, any batch width, cold or warm store.
+// final layouts at any jobs, cold or warm store.
 // ---------------------------------------------------------------------
 
 void
@@ -374,35 +374,38 @@ expectSweepDeterminism(Strategy strategy)
     const u64 ref_sample = store::samplesChecksum({ref.bestSample});
     EXPECT_EQ(ref.freshEvals + ref.cachedEvals, ref_cfg.budget);
 
-    for (u32 jobs : {1u, 4u}) {
-        for (u32 lanes : {1u, 2u, 4u, 8u}) {
-            if (jobs == ref_cfg.jobs && lanes == ref_cfg.batchLanes)
-                continue;
-            OptConfig cfg = ref_cfg;
-            cfg.jobs = jobs;
-            cfg.batchLanes = lanes;
-            FitnessOracle oracle(profile, cfg);
-            EXPECT_EQ(oracle.baseKey(), ref_oracle.baseKey())
-                << "execution knobs leaked into the base key";
-            const OptResult res = makeOptimizer(oracle, cfg)->run();
-            EXPECT_EQ(res.trajectory.dump(), ref_dump)
-                << strategyName(strategy) << " jobs=" << jobs
-                << " lanes=" << lanes;
-            EXPECT_EQ(oracle.digestOf(res.best), ref_digest);
-            EXPECT_EQ(store::samplesChecksum({res.bestSample}),
-                      ref_sample);
-        }
+    for (u32 jobs : {2u, 4u}) {
+        OptConfig cfg = ref_cfg;
+        cfg.jobs = jobs;
+        FitnessOracle oracle(profile, cfg);
+        EXPECT_EQ(oracle.baseKey(), ref_oracle.baseKey())
+            << "execution knobs leaked into the base key";
+        const OptResult res = makeOptimizer(oracle, cfg)->run();
+        EXPECT_EQ(res.trajectory.dump(), ref_dump)
+            << strategyName(strategy) << " jobs=" << jobs;
+        EXPECT_EQ(oracle.digestOf(res.best), ref_digest);
+        EXPECT_EQ(store::samplesChecksum({res.bestSample}), ref_sample);
     }
 }
 
-TEST(OptDeterminism, GreedyTrajectoryIdenticalAtAnyJobsAndBatch)
+TEST(OptDeterminism, GreedyTrajectoryIdenticalAtAnyJobs)
 {
     expectSweepDeterminism(Strategy::Greedy);
 }
 
-TEST(OptDeterminism, AnnealTrajectoryIdenticalAtAnyJobsAndBatch)
+TEST(OptDeterminism, AnnealTrajectoryIdenticalAtAnyJobs)
 {
     expectSweepDeterminism(Strategy::Anneal);
+}
+
+TEST(OptDeterminism, BaseKeyIsPinned)
+{
+    // The literal fitness base key of a fixed search setup. Fitness
+    // store entries are named under it, so a change to its derivation
+    // orphans every existing store; this test makes that explicit.
+    FitnessOracle oracle(workloads::defaultProfile("opt-det"),
+                         quickSearch(Strategy::Greedy, 7));
+    EXPECT_EQ(oracle.baseKey(), 0x801f79eab3ea09bfull);
 }
 
 TEST(OptDeterminism, WarmStoreRerunIsByteIdenticalWithZeroFreshEvals)

@@ -529,18 +529,25 @@ TEST(StoreKey, EveryConfigFieldChangesTheKey)
     }
 }
 
+TEST(StoreKey, PinnedValue)
+{
+    // The literal key of a fixed (program, seed, config). Stores on
+    // disk are named by this value, so any change to the key's
+    // derivation (a field mixed in or dropped, a reordered mix)
+    // orphans every existing store; this test makes that explicit.
+    EXPECT_EQ(campaignKey(keyProgram(), 2, baseConfig()),
+              0xaa1ad24dc0ba4e47ull);
+}
+
 TEST(StoreKey, ExecutionOnlyFieldsDoNotChangeTheKey)
 {
-    // jobs and batchLanes cannot change a sample's bytes (the
-    // executor's determinism guarantees across worker counts and lane
-    // groupings) and storeDir is where the cache lives — serial,
-    // parallel, batched and relocated-store runs all share one cache
-    // entry.
+    // jobs cannot change a sample's bytes (the executor's determinism
+    // guarantee across worker counts) and storeDir is where the cache
+    // lives — serial, parallel and relocated-store runs all share one
+    // cache entry.
     const u64 base = campaignKey(keyProgram(), 2, baseConfig());
     auto cfg = baseConfig();
     cfg.jobs = 7;
-    EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);
-    cfg.batchLanes = 9;
     EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);
     cfg.storeDir = "/somewhere/else";
     EXPECT_EQ(campaignKey(keyProgram(), 2, cfg), base);

@@ -68,10 +68,9 @@ quickConfig(u32 jobs)
 }
 
 u64
-campaignChecksum(u32 jobs, u32 batch = 4)
+campaignChecksum(u32 jobs)
 {
     auto cfg = quickConfig(jobs);
-    cfg.batchLanes = batch;
     interferometry::Campaign camp(workloads::defaultProfile("camp"),
                                   cfg);
     return store::samplesChecksum(camp.measureLayouts(0, 6));
@@ -94,16 +93,14 @@ TEST(TelemetryDeterminism, SamplesIdenticalOnOrOff)
 
 /** PR 10's flavor of the invariant: with the flight recorder writing
  *  and a progress observer subscribed, samples are still byte-identical
- *  to the telemetry-off run at every jobs x batch combination. */
+ *  to the telemetry-off run at every jobs value. */
 TEST(TelemetryDeterminism, SamplesIdenticalWithRecorderAndProgressOn)
 {
     telemetry::disable();
     const u32 jobs_axis[] = {1, 4};
-    const u32 batch_axis[] = {1, 4};
-    u64 off[2][2];
+    u64 off[2];
     for (int j = 0; j < 2; ++j)
-        for (int b = 0; b < 2; ++b)
-            off[j][b] = campaignChecksum(jobs_axis[j], batch_axis[b]);
+        off[j] = campaignChecksum(jobs_axis[j]);
 
     const std::string dir = tempDir("recorder-det");
     {
@@ -112,11 +109,8 @@ TEST(TelemetryDeterminism, SamplesIdenticalWithRecorderAndProgressOn)
         auto prev = telemetry::setProgressObserver(
             [](const telemetry::ProgressEvent &) {});
         for (int j = 0; j < 2; ++j)
-            for (int b = 0; b < 2; ++b)
-                EXPECT_EQ(campaignChecksum(jobs_axis[j], batch_axis[b]),
-                          off[j][b])
-                    << "jobs " << jobs_axis[j] << " batch "
-                    << batch_axis[b];
+            EXPECT_EQ(campaignChecksum(jobs_axis[j]), off[j])
+                << "jobs " << jobs_axis[j];
         telemetry::setProgressObserver(std::move(prev));
     } // TelemetryOn teardown stops + seals the recorder.
     std::filesystem::remove_all(dir);

@@ -7,13 +7,16 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json [--threshold 0.10]
 
 For every row present in both reports (matched by benchmark name), the
 current layouts_per_sec is compared against the baseline. Rows more than
-the threshold slower are reported. CI hosts are shared and noisy, so a
+the threshold slower are reported, and so is every baseline row the
+current report lacks (a renamed or dropped row would otherwise quietly
+disable its own check). CI hosts are shared and noisy, so a
 regression is a soft warning — the script prints GitHub Actions
 ::warning:: annotations and always exits 0 — but the annotations land on
 the PR, so a real regression is visible where the change is reviewed.
 
 --verdict-json writes the same comparison machine-readably (one object
-with per-row baseline/current/delta/verdict), so later steps can act on
+with per-row baseline/current/delta/verdict and the names of missing
+baseline rows under "missing_rows"), so later steps can act on
 the outcome without scraping the log. --history-append appends that
 run's rows as one JSON line to a history file (BENCH_history.jsonl at
 the repo root): a long-lived record of measured throughput per CI run,
@@ -88,11 +91,16 @@ def main():
     cur = rows_by_name(load_report(args.current, "current"))
 
     shared = sorted(set(base) & set(cur))
+    missing = sorted(set(base) - set(cur))
     verdict_rows = []
     regressed = 0
     if not shared:
         print("::warning::no common benchmark rows between "
               f"{args.baseline} and {args.current}")
+    for name in missing:
+        print(f"::warning file=BENCH_replay.json::{name}: baseline row "
+              f"missing from {args.current} (renamed or dropped? "
+              "refresh the baseline if intended)")
     for name in shared:
         b = base[name].get("layouts_per_sec", 0.0)
         c = cur[name].get("layouts_per_sec", 0.0)
@@ -121,6 +129,7 @@ def main():
             "threshold": args.threshold,
             "shared_rows": len(verdict_rows),
             "regressed_rows": regressed,
+            "missing_rows": missing,
             "rows": verdict_rows,
         }
         with open(args.verdict_json, "w") as f:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Lint the replay kernel's hot paths for constructs they must not use.
 
-The batched replay kernel's throughput rests on its hot loops doing
+The replay kernel's throughput rests on its hot loops doing
 nothing but arithmetic and array reads: no allocation, no logging, no
 virtual dispatch, no exceptions, and no non-relaxed atomics anywhere
 near them (DESIGN.md §5k). Those properties are invisible to the type
@@ -11,9 +11,9 @@ enforces them here, next to clang-tidy.
 Two kinds of hot region, configured in HOT_FILES below:
 
   * marker regions — `// lint:hot-begin ...` / `// lint:hot-end`
-    comment pairs bracketing the event loops in src/core/timing.cc,
-    whose enclosing functions legitimately allocate in their setup
-    phase (lane pools, result vectors) before entering the kernel;
+    comment pairs bracketing the event loop in src/core/timing.cc,
+    whose enclosing function may do setup work (predictor
+    devirtualization, latency tables) before entering the kernel;
   * function manifests — named inline member functions in the cache /
     BTB headers whose whole body is hot (they are called per event or
     per line from inside the marker regions).
@@ -59,28 +59,25 @@ HOT_FILES = [
         "path": "src/cache/cache.hh",
         "markers": False,
         "functions": [
-            "access", "contains", "accessFound", "probeWay",
-            "probeWayHinted", "accessFoundWay", "accessAt", "install",
+            "access", "contains", "probeWay", "accessAt", "install",
             "materializeSet", "touchLru", "renormalizeLru", "findWay",
-            "accessT", "accessFoundT", "accessFoundWayT", "probeWayT",
-            "installT", "pickVictim", "setIndex", "tagOf",
+            "accessT", "probeWayT", "installT", "pickVictim",
+            "setIndex", "tagOf",
         ],
     },
     {
         "path": "src/cache/hierarchy.hh",
         "markers": False,
         "functions": [
-            "fetchInst", "accessData", "probeDataWay", "accessDataAt",
-            "probeDataWayHinted", "accessDataCommit",
-            "fetchInstHinted",
+            "fetchInst", "accessData",
         ],
     },
     {
         "path": "src/bpred/btb.hh",
         "markers": False,
         "functions": [
-            "lookup", "lookupUpdate", "probeWay", "probeWayHinted",
-            "updateFound", "updateFoundAt", "update", "setIndex",
+            "lookup", "lookupUpdate", "probeWay", "updateFound",
+            "update", "setIndex",
             "touchLru", "renormalizeLru", "pickVictim", "findWay",
         ],
     },

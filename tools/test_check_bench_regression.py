@@ -133,6 +133,25 @@ def test_history_append_accumulates_lines():
         assert "utc" in lines[0]
 
 
+def test_missing_baseline_row_warns_and_is_recorded():
+    with tempfile.TemporaryDirectory() as d:
+        base = write_json(d, "base.json",
+                          report([("replay", 100.0), ("old", 50.0)]))
+        cur = write_json(d, "cur.json",
+                         report([("replay", 100.0), ("new", 50.0)]))
+        verdict_path = os.path.join(d, "verdict.json")
+        r = run(base, cur, "--verdict-json", verdict_path)
+        assert r.returncode == 0, r.stderr
+        warnings = [ln for ln in r.stdout.splitlines()
+                    if ln.startswith("::warning")]
+        assert len(warnings) == 1, r.stdout
+        assert "old" in warnings[0] and "missing" in warnings[0]
+        with open(verdict_path) as f:
+            v = json.load(f)
+        assert v["missing_rows"] == ["old"]
+        assert v["shared_rows"] == 1
+
+
 def test_no_common_rows_soft_warns():
     with tempfile.TemporaryDirectory() as d:
         base = write_json(d, "base.json", report([("a", 1.0)]))
