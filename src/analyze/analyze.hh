@@ -2,43 +2,36 @@
  * @file
  * Static soundness analysis of machine configurations.
  *
- * PR 8's hot-state compaction made replay correctness rest on
- * *narrowing invariants*: 48-bit split tags with a 6-bit epoch salt at
- * bits 42..47, u8 LRU ages chosen by the Cache::kNarrowLruLines
- * geometry threshold, a u32 LRU stamp clock restarted per reset, and
- * u32 site-index BTB tags that require per-layout address injectivity.
- * Those invariants hold on the default Xeon E5440 config — tests pin
- * them there — but the fleet roadmap item runs campaigns across many
- * cache/BTB geometries, exactly where a narrowing trick that is sound
- * on one config silently goes wrong on another.
+ * Replay correctness rests on a few *representation invariants*: cache
+ * tags are line numbers stored in a 48-bit split u32/u16 pair, LRU
+ * recency is a u32 stamp clock restarted at every reset, BTB tags are
+ * u32 full PCs with u8 per-set ages, and the plan indexes its tables
+ * with u32. Those invariants hold on the default Xeon E5440 config —
+ * tests pin them there — but a campaign on another cache/BTB geometry
+ * or a larger address space could break one silently.
  *
  * This module *proves* the invariants per MachineConfig before any
  * replay runs, without constructing a Cache or materializing a single
  * layout table, and reports through the verify diagnostics-as-data
- * framework. Three passes (DESIGN.md §5k):
+ * framework. Two passes (DESIGN.md §5k):
  *
- *   - ConfigSoundness:   interval/width analysis. Derives the required
+ *   - ConfigSoundness: interval/width analysis. Derives the required
  *     tag bits from the address space the layout engines + page maps
- *     can reach and proves the split tagsLo(u32)/tagsHi(u16) pair plus
- *     epoch-salt bits cover it with no overlap, for every cache and
- *     the BTB; re-derives the narrow-vs-stamp LRU representation
- *     choice and the geometry preconditions as typed diagnostics.
- *   - PlanBounds:        wrap-bound analysis. Bounds LRU clock advance
- *     per replay from a ReplayPlan's event counts and proves the u32
+ *     can reach and proves the split tagsLo(u32)/tagsHi(u16) pair
+ *     covers it for every cache, and the u32 full-PC tags for the
+ *     BTB; re-derives the geometry preconditions as typed
+ *     diagnostics.
+ *   - PlanBounds: wrap-bound analysis. Bounds LRU clock advance per
+ *     replay from a ReplayPlan's event counts and proves the u32
  *     stamp clock (restarted every reset) can never wrap — hence never
  *     invert victim choice — within one replay; checks the plan's
  *     index widths against their u32 sentinels.
- *   - LayoutInjectivity: proves, for explicit LayoutSpec permutations,
- *     that every basic-block address is distinct (so u32 site-index
- *     BTB target tokens compare equal iff the targets are equal) by
- *     replaying the linker's address arithmetic abstractly — O(procs)
- *     per spec, generalizing the runtime fillCode check to arbitrary
- *     candidate layouts with no table materialization.
  *
  * Trust boundaries: Campaign and opt::FitnessOracle refuse unsound
  * configs fail-closed (always, not only under verifyOnTrust() — the
  * analysis is a few hundred comparisons per campaign). The
- * tools/interf_analyze CLI exposes the same passes for fleet audits.
+ * tools/interf_analyze CLI exposes the same passes for geometry
+ * audits.
  */
 
 #ifndef INTERF_ANALYZE_ANALYZE_HH
@@ -46,7 +39,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cache/cache.hh"
 #include "verify/verify.hh"
@@ -106,11 +98,6 @@ struct AddressSpace
  *  @p line_bytes must be a nonzero power of two. */
 u32 requiredTagBits(u32 line_bytes, Addr ceiling);
 
-/** The narrow-vs-stamp LRU representation the Cache constructor picks
- *  for this geometry (u8 per-set ages at or above kNarrowLruLines
- *  lines, u32 stamps below). False for non-LRU caches. */
-bool narrowLruFor(const cache::CacheConfig &cfg);
-
 /**
  * Upper bounds on LRU clock advance within ONE replay of @p plan —
  * the interval the per-reset stamp-clock restart re-establishes.
@@ -140,55 +127,35 @@ LruAdvanceBounds lruAdvanceBounds(const core::MachineConfig &machine,
 /**
  * @{ Lower-level seams the passes delegate to, exposed (mirroring
  * verify::verifyPlacements and friends) so the seeded-unsoundness
- * matrix in tests/test_analyze.cc can feed hand-built inputs —
- * including representation claims the real constructor could never
- * produce. Cache indices follow EntityKind::Cache: 0 = L1I, 1 = L1D,
- * 2 = L2.
+ * matrix in tests/test_analyze.cc can feed hand-built inputs. Cache
+ * indices follow EntityKind::Cache: 0 = L1I, 1 = L1D, 2 = L2.
  */
 
-/** Geometry preconditions + tag-width/epoch-salt coverage of one
- *  cache against @p line_ceiling. */
+/** Geometry preconditions + tag-width coverage of one cache against
+ *  @p line_ceiling. */
 void auditCacheConfig(const cache::CacheConfig &cfg, u32 cache_index,
                       Addr line_ceiling, const std::string &path,
                       verify::VerifyResult &out);
-
-/** Check a claimed narrow/stamp LRU representation choice against the
- *  geometry threshold and the u8 renormalization headroom. */
-void auditLruRepresentation(const cache::CacheConfig &cfg,
-                            bool claimed_narrow, u32 cache_index,
-                            const std::string &path,
-                            verify::VerifyResult &out);
 
 /** BTB geometry + u32 full-PC tag coverage against @p code_ceiling. */
 void auditBtbConfig(u32 sets, u32 ways, Addr code_ceiling,
                     const std::string &path, verify::VerifyResult &out);
 
-/** Prove a per-replay LRU clock advance bound safe for the cache's
- *  representation (u32 stamp caches must stay below 2^32). */
+/** Prove a per-replay LRU clock advance bound safe: an LRU cache's
+ *  u32 stamp clock must stay below 2^32 (random caches keep no
+ *  stamps). */
 void checkLruAdvanceBound(const cache::CacheConfig &cfg,
-                          bool claimed_narrow, u64 advance_bound,
-                          u32 cache_index, const std::string &path,
+                          u64 advance_bound, u32 cache_index,
+                          const std::string &path,
                           verify::VerifyResult &out);
-
-/**
- * Check an explicit site -> address table for branch-target
- * injectivity: no two sites that can be branch targets
- * (site_is_target[s] != 0) may share an address. The static
- * counterpart of the LayoutTables::fillCode runtime check.
- */
-void checkSiteAddressInjectivity(const std::vector<Addr> &site_addr,
-                                 const std::vector<u8> &site_is_target,
-                                 const std::string &path,
-                                 verify::VerifyResult &out);
 /** @} */
 
 /** @{ Pass factories (verify::Pass; see verify/verify.hh). */
 std::unique_ptr<verify::Pass> makeConfigSoundness();
 std::unique_ptr<verify::Pass> makePlanBounds();
-std::unique_ptr<verify::Pass> makeLayoutInjectivity();
 /** @} */
 
-/** All three soundness passes in dependency order. */
+/** Both soundness passes in dependency order. */
 verify::PassManager soundnessPasses();
 
 /**
@@ -199,23 +166,26 @@ verify::VerifyResult
 analyzeMachine(const core::MachineConfig &machine,
                const trace::ReplayPlan *plan = nullptr,
                const trace::Program *prog = nullptr,
-               const std::vector<layout::LayoutSpec> *specs = nullptr,
                const std::string &path = "<machine>");
 
 /**
  * Fail-closed trust boundary: panic with the diagnostics when
- * @p machine (optionally checked against @p plan) breaks a compaction
- * invariant. Campaign and FitnessOracle call this before any replay
- * state is built, so an unsound fleet config dies with a typed
- * explanation instead of asserting (Debug) or silently corrupting
- * victim choice (Release) deep inside the kernel.
+ * @p machine (optionally checked against @p plan) breaks a
+ * representation invariant. Campaign and FitnessOracle call this
+ * before any replay state is built, so an unsound machine config dies
+ * with a typed explanation instead of asserting (Debug) or silently
+ * corrupting victim choice (Release) deep inside the kernel.
+ *
+ * Returns @p machine, so a constructor can run the config-only check
+ * (@p plan null) in its member-initializer list, ahead of the member
+ * that builds a Machine from the config.
  */
-void requireSoundMachine(const core::MachineConfig &machine,
-                         const trace::ReplayPlan *plan,
-                         const char *what);
+const core::MachineConfig &
+requireSoundMachine(const core::MachineConfig &machine,
+                    const trace::ReplayPlan *plan, const char *what);
 
 /**
- * Apply a fleet-override spec ("l1i.line=16,l2.assoc=24,btb.sets=512")
+ * Apply a config-override spec ("l1i.line=16,l2.assoc=24,btb.sets=512")
  * to @p machine. Keys: {l1i,l1d,l2}.{size,assoc,line,repl} (repl takes
  * lru|random; sizes accept k/m suffixes) and btb.{sets,ways}. Returns
  * false and sets @p error on a malformed spec.

@@ -6,13 +6,13 @@
  * the addresses each hardware structure can ever be asked to index
  * (see analyze.hh's AddressSpace). Everything the pass proves reduces
  * to bit-width comparisons against those bounds: a cache tag of
- * Cache::kTagBits bits with an epoch salt at kEpochShift covers the
- * space iff the width of the largest line number stays at or below
- * kEpochShift; u32 BTB full-PC tags cover it iff the largest PC stays
- * below the all-ones sentinel. The geometry preconditions the Cache
- * constructor enforces with fatal() are re-derived here as typed
- * diagnostics, so a fleet sweep learns *which* config is broken and
- * why instead of dying on the first.
+ * Cache::kTagBits bits covers the space iff every line number stays
+ * below the all-ones kNoTag sentinel; u32 BTB full-PC tags cover it
+ * iff the largest PC stays below their all-ones sentinel. The geometry
+ * preconditions the Cache constructor enforces with fatal() are
+ * re-derived here as typed diagnostics, so a sweep over many configs
+ * learns *which* config is broken and why instead of dying on the
+ * first.
  */
 
 #include "analyze/analyze.hh"
@@ -30,13 +30,8 @@
 namespace interf::analyze
 {
 
-// The salt layout the width analysis assumes: the 6-bit epoch field
-// sits exactly on top of the real tag bits, and the salt value space
-// excludes all-ones so the kNoTag sentinel can never be produced.
-static_assert(cache::Cache::kEpochShift + 6 == cache::Cache::kTagBits,
-              "epoch salt must fill the tag bits above kEpochShift");
-static_assert(cache::Cache::kEpochPeriod <= 63,
-              "epoch salt must leave the all-ones sentinel unreachable");
+// The width analysis assumes the sentinel is the all-ones tag: every
+// line number below it is storable in kTagBits bits.
 static_assert(cache::Cache::kNoTag ==
                   (Addr{1} << cache::Cache::kTagBits) - 1,
               "sentinel is all-ones in the stored tag width");
@@ -106,16 +101,6 @@ requiredTagBits(u32 line_bytes, Addr ceiling)
     return static_cast<u32>(std::bit_width((ceiling - 1) >> line_shift));
 }
 
-bool
-narrowLruFor(const cache::CacheConfig &cfg)
-{
-    if (cfg.replacement != cache::Replacement::Lru)
-        return false;
-    u64 entries = (cfg.sizeBytes / cfg.lineBytes / cfg.assoc) *
-                  static_cast<u64>(cfg.assoc);
-    return entries >= cache::Cache::kNarrowLruLines;
-}
-
 namespace
 {
 
@@ -139,16 +124,6 @@ auditCacheGeometry(const cache::CacheConfig &cfg, u32 cache_index,
                    strprintf("'%s': associativity must be >= 1",
                              cfg.name.c_str()));
         return false;
-    }
-    if (cfg.replacement == cache::Replacement::Lru && cfg.assoc > 32) {
-        // The u8 age renormalization buffer and the SIMD rank scan
-        // both cap at 32 ways; wider LRU sets would index past them.
-        sink.error(
-            EntityKind::Cache, cache_index,
-            strprintf("'%s': LRU associativity %u exceeds the 32-way "
-                      "u8-age bound; use random replacement",
-                      cfg.name.c_str(), cfg.assoc));
-        ok = false;
     }
     if (!ok)
         return false;
@@ -179,42 +154,6 @@ auditCacheGeometry(const cache::CacheConfig &cfg, u32 cache_index,
 }
 
 void
-auditLruRepresentationIn(const cache::CacheConfig &cfg,
-                         bool claimed_narrow, u32 cache_index,
-                         verify::Sink &sink)
-{
-    using verify::EntityKind;
-    bool derived = narrowLruFor(cfg);
-    if (claimed_narrow != derived) {
-        u64 entries = cfg.sizeBytes / cfg.lineBytes;
-        sink.error(
-            EntityKind::Cache, cache_index,
-            strprintf("'%s': LRU representation claims %s but the "
-                      "geometry threshold derives %s (%llu lines vs "
-                      "kNarrowLruLines = %u): %s",
-                      cfg.name.c_str(),
-                      claimed_narrow ? "u8 ages" : "u32 stamps",
-                      derived ? "u8 ages" : "u32 stamps",
-                      static_cast<unsigned long long>(entries),
-                      cache::Cache::kNarrowLruLines,
-                      claimed_narrow
-                          ? "a sub-threshold cache on u8 ages pays "
-                            "renormalization with no footprint win"
-                          : "a large cache on u32 stamps quadruples "
-                            "its per-lane LRU footprint"));
-    }
-    if (claimed_narrow && cfg.assoc > 254) {
-        // renormalizeLru reassigns ranks 0..assoc-1 and the per-set
-        // clock then counts up from assoc; both must fit u8 with
-        // headroom for at least one post-renormalization touch.
-        sink.error(EntityKind::Cache, cache_index,
-                   strprintf("'%s': %u ways cannot renormalize into "
-                             "u8 ages",
-                             cfg.name.c_str(), cfg.assoc));
-    }
-}
-
-void
 auditCacheConfigIn(const cache::CacheConfig &cfg, u32 cache_index,
                    Addr line_ceiling, verify::Sink &sink)
 {
@@ -223,38 +162,25 @@ auditCacheConfigIn(const cache::CacheConfig &cfg, u32 cache_index,
     if (!auditCacheGeometry(cfg, cache_index, sink))
         return;
 
-    u32 required = requiredTagBits(cfg.lineBytes, line_ceiling);
-    if (required > Cache::kTagBits) {
+    // The largest line number must stay below the all-ones sentinel:
+    // wider tags would alias distinct lines, and the sentinel itself
+    // would read as an invalid way.
+    const u32 line_shift =
+        static_cast<u32>(std::countr_zero(cfg.lineBytes));
+    const Addr max_line =
+        line_ceiling ? (line_ceiling - 1) >> line_shift : 0;
+    if (max_line >= Cache::kNoTag) {
         sink.error(
             EntityKind::Cache, cache_index,
             strprintf("'%s': addresses below %#llx need %u-bit line "
-                      "tags; the split u32/u16 pair stores only %u "
-                      "bits, so distinct lines would alias",
+                      "tags; the split u32/u16 pair stores %u bits "
+                      "with all-ones reserved for the invalid-way "
+                      "sentinel, so distinct lines would alias",
                       cfg.name.c_str(),
                       static_cast<unsigned long long>(line_ceiling),
-                      required, Cache::kTagBits));
-    } else if (required > Cache::kEpochShift) {
-        // Smallest line size whose line numbers stay out of the salt
-        // field: one address bit per doubling of the line.
-        u32 addr_bits =
-            static_cast<u32>(std::bit_width(line_ceiling - 1));
-        u64 min_line = Addr{1} << (addr_bits - Cache::kEpochShift);
-        sink.error(
-            EntityKind::Cache, cache_index,
-            strprintf("'%s': addresses below %#llx need %u-bit line "
-                      "tags, overlapping the epoch salt at tag bits "
-                      "%u..%u — a line installed in one reset epoch "
-                      "could hit a probe from another; lines must be "
-                      ">= %llu bytes for this address space",
-                      cfg.name.c_str(),
-                      static_cast<unsigned long long>(line_ceiling),
-                      required, Cache::kEpochShift,
-                      Cache::kTagBits - 1,
-                      static_cast<unsigned long long>(min_line)));
+                      requiredTagBits(cfg.lineBytes, line_ceiling),
+                      Cache::kTagBits));
     }
-
-    auditLruRepresentationIn(cfg, narrowLruFor(cfg), cache_index,
-                             sink);
 }
 
 void
@@ -327,16 +253,6 @@ auditCacheConfig(const cache::CacheConfig &cfg, u32 cache_index,
 {
     verify::Sink sink(out, path, kPassName);
     auditCacheConfigIn(cfg, cache_index, line_ceiling, sink);
-}
-
-void
-auditLruRepresentation(const cache::CacheConfig &cfg,
-                       bool claimed_narrow, u32 cache_index,
-                       const std::string &path,
-                       verify::VerifyResult &out)
-{
-    verify::Sink sink(out, path, kPassName);
-    auditLruRepresentationIn(cfg, claimed_narrow, cache_index, sink);
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Soundness pass plumbing: the composed PassManager, the fail-closed
- * trust-boundary helper Campaign/FitnessOracle call, and the fleet
+ * trust-boundary helper Campaign/FitnessOracle call, and the
  * config-override parser the analyze CLI and CI sweeps use.
  */
 
@@ -20,9 +20,7 @@ verify::PassManager
 soundnessPasses()
 {
     verify::PassManager pm;
-    pm.add(makeConfigSoundness())
-        .add(makePlanBounds())
-        .add(makeLayoutInjectivity());
+    pm.add(makeConfigSoundness()).add(makePlanBounds());
     return pm;
 }
 
@@ -30,26 +28,25 @@ verify::VerifyResult
 analyzeMachine(const core::MachineConfig &machine,
                const trace::ReplayPlan *plan,
                const trace::Program *prog,
-               const std::vector<layout::LayoutSpec> *specs,
                const std::string &path)
 {
     verify::Artifacts a;
     a.machine = &machine;
     a.plan = plan;
     a.program = prog;
-    a.layoutSpecs = specs;
     a.path = path;
     return soundnessPasses().run(a);
 }
 
-void
+const core::MachineConfig &
 requireSoundMachine(const core::MachineConfig &machine,
                     const trace::ReplayPlan *plan, const char *what)
 {
     verify::VerifyResult result = analyzeMachine(
-        machine, plan, nullptr, nullptr,
+        machine, plan, nullptr,
         strprintf("<machine '%s'>", machine.name.c_str()));
     verify::requireClean(result, what);
+    return machine;
 }
 
 namespace

@@ -2,7 +2,7 @@
  * @file
  * PlanBounds: wrap-bound analysis of one ReplayPlan against a machine.
  *
- * The compacted cache keeps LRU recency as u32 stamps against a u32
+ * The cache keeps LRU recency as u32 stamps against a u32
  * clock that restarts at every reset() — so correctness needs the
  * clock to advance fewer than 2^32 times between resets, i.e. within
  * ONE replay of the plan. This pass derives that bound statically from
@@ -17,13 +17,13 @@
  *   L2 advance  <= 2 * fetchLines + memCount (demand-miss fill +
  *     prefetch fill probe per line, one probe per data miss).
  *
- * Narrow (u8-age) caches need no bound: renormalization is invoked by
- * the per-set clock itself and is sound for any touch count. The u8
- * BTB recency scheme likewise handles wrap by construction.
+ * Random-replacement caches keep no stamps and need no bound. The u8
+ * BTB recency scheme handles wrap by construction (per-set rank
+ * renormalization).
  *
  * The same pass checks the plan's index widths against their u32
  * sentinels (site ids vs ReplayPlan::kNoSite, memory-universe ranks),
- * which every compacted table indexes with u32.
+ * which every per-layout table indexes with u32.
  */
 
 #include "analyze/analyze.hh"
@@ -45,10 +45,10 @@ constexpr u64 kU32Wrap = u64{1} << 32;
 
 void
 checkLruAdvanceBoundIn(const cache::CacheConfig &cfg,
-                       bool claimed_narrow, u64 advance_bound,
-                       u32 cache_index, verify::Sink &sink)
+                       u64 advance_bound, u32 cache_index,
+                       verify::Sink &sink)
 {
-    if (cfg.replacement != cache::Replacement::Lru || claimed_narrow)
+    if (cfg.replacement != cache::Replacement::Lru)
         return;
     if (advance_bound >= kU32Wrap) {
         sink.error(
@@ -85,8 +85,8 @@ class PlanBounds : public verify::Pass
                                                &m.hierarchy.l1d,
                                                &m.hierarchy.l2};
         for (u32 i = 0; i < 3; ++i)
-            checkLruAdvanceBoundIn(*caches[i], narrowLruFor(*caches[i]),
-                                   bounds.forCache(i), i, sink);
+            checkLruAdvanceBoundIn(*caches[i], bounds.forCache(i), i,
+                                   sink);
 
         // u32 index widths. Site ids share their space with the
         // kNoSite sentinel; memory ranks index the universe table.
@@ -126,13 +126,12 @@ lruAdvanceBounds(const core::MachineConfig &machine,
 }
 
 void
-checkLruAdvanceBound(const cache::CacheConfig &cfg, bool claimed_narrow,
-                     u64 advance_bound, u32 cache_index,
-                     const std::string &path, verify::VerifyResult &out)
+checkLruAdvanceBound(const cache::CacheConfig &cfg, u64 advance_bound,
+                     u32 cache_index, const std::string &path,
+                     verify::VerifyResult &out)
 {
     verify::Sink sink(out, path, kPassName);
-    checkLruAdvanceBoundIn(cfg, claimed_narrow, advance_bound,
-                           cache_index, sink);
+    checkLruAdvanceBoundIn(cfg, advance_bound, cache_index, sink);
 }
 
 std::unique_ptr<verify::Pass>

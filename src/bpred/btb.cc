@@ -33,14 +33,8 @@ Btb::Btb(u32 sets, u32 ways) : sets_(sets), ways_(ways)
 void
 Btb::reset()
 {
-    // Eager clear. An epoch-versioned lazy reset (as the caches use)
-    // was implemented and measured here too: full-u32-PC tags leave
-    // no spare bits to fold an epoch salt into, so every probe had to
-    // test a per-set generation tag, and that check alone cost ~3% of
-    // batched replay throughput. The BTB's whole state is ~45 KB —
-    // the memset is trivial next to a layout replay.
     std::fill(tags_.begin(), tags_.end(), kNoTag);
-    std::fill(targets_.begin(), targets_.end(), u32{0});
+    std::fill(targets_.begin(), targets_.end(), Addr{0});
     std::fill(lru_.begin(), lru_.end(), u8{0});
     std::fill(setClock_.begin(), setClock_.end(), u8{0});
 }

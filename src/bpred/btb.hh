@@ -11,17 +11,10 @@
  * this adds layout-dependent CPI variance *not* explained by MPKI,
  * which is part of why the paper's branch-only r^2 averages 27%.
  *
- * The representation is compact so one replay's hot state stays small:
- * tags are stored once as u32 (branch PCs are text-segment addresses,
- * far below 2^32 — installs assert it), targets are u32 *tokens* the
- * caller chooses (the replay kernel stores plan site indices instead
- * of 8-byte addresses; equality of tokens is equality of targets
- * because block addresses are injective per layout), and recency is a
- * u8 age per way against a u8 per-set clock (free at BTB touch rates;
- * see touchLru). reset() clears eagerly: unlike the caches, the full
- * u32-PC tags leave no spare bits for an epoch salt, and a per-set
- * generation check on every probe measured ~3% of batched replay
- * throughput (see Btb::reset in btb.cc).
+ * Tags are stored once as u32 (branch PCs are text-segment addresses,
+ * far below 2^32 — installs assert it), targets are full addresses,
+ * and recency is a u8 age per way against a u8 per-set clock (free at
+ * BTB touch rates; see touchLru). reset() clears eagerly.
  */
 
 #ifndef INTERF_BPRED_BTB_HH
@@ -41,13 +34,12 @@
 namespace interf::bpred
 {
 
-/** Result of a BTB lookup. The target is the u32 token the last
- *  update for this branch stored (a plan site index in the replay
- *  kernel; any caller-defined encoding elsewhere). */
+/** Result of a BTB lookup: the target the last update for this
+ *  branch stored. */
 struct BtbResult
 {
     bool hit = false;
-    u32 target = 0;
+    Addr target = 0;
 };
 
 /** Set-associative branch target buffer with LRU replacement. */
@@ -81,30 +73,29 @@ class Btb
      * The replay kernel always pairs the two on taken branches, and
      * the scan is the dominant cost of each.
      */
-    BtbResult lookupUpdate(Addr pc, u32 target)
+    BtbResult lookupUpdate(Addr pc, Addr target)
     {
         return updateFound(pc, target, probeWay(pc));
     }
 
     /** Install/refresh the target for a branch (LRU update). */
-    void update(Addr pc, u32 target)
+    void update(Addr pc, Addr target)
     {
         updateFound(pc, target, probeWay(pc));
     }
 
-    /** Restore the power-on (empty) state (eager ~45 KB clear; see
-     *  the rationale in btb.cc). */
+    /** Restore the power-on (empty) state. */
     void reset();
 
     u32 sets() const { return sets_; }
     u32 ways() const { return ways_; }
 
-    /** Bytes of per-replay mutable state (tag/target/age/generation
-     *  arrays) — what one replay keeps hot. */
+    /** Bytes of per-replay mutable state (tag/target/age arrays) —
+     *  what one replay keeps hot. */
     u64 hotStateBytes() const
     {
         return tags_.size() * sizeof(u32) +
-               targets_.size() * sizeof(u32) + lru_.size() +
+               targets_.size() * sizeof(Addr) + lru_.size() +
                setClock_.size();
     }
 
@@ -125,7 +116,7 @@ class Btb
      * no intervening change to the set: returns what lookup(pc) would
      * have, then installs/refreshes the target.
      */
-    BtbResult updateFound(Addr pc, u32 target, u32 w)
+    BtbResult updateFound(Addr pc, Addr target, u32 w)
     {
         const u32 set = setIndex(pc);
         const size_t base = static_cast<size_t>(set) * ways_;
@@ -198,8 +189,7 @@ class Btb
             ages[w] = ranked[w];
     }
 
-    /** Victim way: first invalid way (way order), else least recent.
-     *  The caller materialized the set. */
+    /** Victim way: first invalid way (way order), else least recent. */
     u32 pickVictim(size_t base) const
     {
         const u32 *tags = tags_.data() + base;
@@ -219,7 +209,7 @@ class Btb
      * Branchless packed compare of the u32 tags into an exact equality
      * mask — same scheme as cache::Cache::findWay (see the rationale
      * there), exact without a confirm step because the stored tag is
-     * the full u32. The caller must have checked the set is live.
+     * the full u32.
      */
     u32 findWay(size_t base, u32 tag) const
     {
@@ -251,10 +241,10 @@ class Btb
     u32 sets_;
     u32 ways_;
     /** @{ sets_ * ways_, row-major by set; parallel arrays. */
-    std::vector<u32> tags_;    ///< u32 tags (sentinel kNoTag).
-    std::vector<u32> targets_; ///< Caller-defined target tokens.
-    std::vector<u8> lru_;      ///< Per-way age; higher = more recent.
-    std::vector<u8> setClock_; ///< Per-set age clock.
+    std::vector<u32> tags_;     ///< u32 tags (sentinel kNoTag).
+    std::vector<Addr> targets_; ///< Target addresses.
+    std::vector<u8> lru_;       ///< Per-way age; higher = more recent.
+    std::vector<u8> setClock_;  ///< Per-set age clock.
     /** @} */
 };
 

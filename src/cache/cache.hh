@@ -15,39 +15,19 @@
  * kNoTag sentinel) rather than an array of line structs: a set's tags
  * share one cache line and the common hit case touches nothing else.
  *
- * The representation is compacted to keep one replay's hot state small
- * in the host's caches (DESIGN.md §5j):
- *  - Tags are stored once, split u32-lo / u16-hi (48 bits). Real tags
- *    are line numbers (address >> lineShift), and every address the
- *    layout engines produce is far below 2^48+lineShift bits, which an
- *    install-time assert enforces.
- *  - LRU recency is represented per geometry. L1-class caches keep a
- *    u32 stamp per way from one cache-wide clock, written and never
- *    read on the touch path. Two narrower schemes were implemented
- *    and measured there before settling on stamps: a u8 per-set age
- *    clock quarters the state but its load-increment-store on every
- *    touch forms a store-forwarding chain through per-set bytes that
- *    cost ~10-15% of the whole replay kernel, and u16 stamps with a
- *    rank-renormalizing wrap still lost ~5-9% (16-bit RMW on the
- *    clock plus the wrap's cold excursions); the arrays are ~2 KB per
- *    L1, so narrowing them buys nothing anyway. Megabyte-class LRU
- *    caches (>= kNarrowLruLines lines — the modeled 6 MB L2) keep u8
- *    per-set ages with order-exact rank renormalization instead (the
- *    BTB's scheme): only L1-miss traffic touches them, so the per-set
- *    chain is off the hot path, and a u32 age array at that line
- *    count would be ~0.4 MB of a replay's ~0.65 MB footprint. Victim
- *    choice is bit-identical between the two representations —
- *    renormalization preserves strict age order and the way-index
- *    tie-break — so which one a cache uses is invisible to results.
- *  - reset() bumps a per-cache epoch instead of memsetting megabytes.
- *    The epoch is folded into the tag itself (bits 42..47, above any
- *    real line number): a probe key only ever matches a tag installed
- *    in the same epoch, so stale sets miss with zero per-probe checks
- *    — an earlier design that tested a per-set generation tag on
- *    every probe measured ~10% of batched replay throughput. The
- *    generation array survives only on the miss/install path, where a
- *    stale set re-materializes before its first install; the epoch
- *    wrap (every 63 resets) pays for a real clear.
+ * Tags are stored once, split u32-lo / u16-hi (48 bits), so the packed
+ * scan in findWay() compares a whole 8-way row with three vector
+ * loads. Real tags are line numbers (address >> lineShift), and every
+ * address the layout engines produce is far below 2^48 lines, which an
+ * install-time assert enforces.
+ *
+ * Every LRU cache keeps a u32 stamp per way from one cache-wide clock,
+ * written and never read on the touch path. Narrower schemes measured
+ * slower: a u8 per-set age clock turns every touch into a
+ * load-increment-store chain through per-set bytes (~10-15% of the
+ * replay kernel on the L1s, 2-4% on the L2), and u16 stamps with a
+ * rank-renormalizing wrap still lost ~5-9% (DESIGN.md §5j). reset()
+ * clears eagerly.
  */
 
 #ifndef INTERF_CACHE_CACHE_HH
@@ -166,14 +146,13 @@ class Cache
     {
         const u32 set = setIndex(addr);
         const size_t base = static_cast<size_t>(set) * assoc_;
-        // Bounds only: verifying the caller's claim (tag equality,
-        // set liveness) re-loads the set's metadata on the
-        // prefetch-shortcut fetch path — the hottest accessAt caller
-        // — and measured ~3% of replay throughput; the golden replay
-        // tests pin the claim instead.
+        // Bounds only: verifying the caller's claim (tag equality)
+        // re-loads the set's tags on the prefetch-shortcut fetch path
+        // — the hottest accessAt caller — and measured ~3% of replay
+        // throughput; the golden replay tests pin the claim instead.
         INTERF_ASSERT(way < assoc_);
         ++stats_.accesses;
-        touchLru(base, set, way);
+        touchLru(base, way);
     }
 
     /**
@@ -194,9 +173,7 @@ class Cache
         }
     }
 
-    /** Invalidate everything and clear statistics. O(1) amortized:
-     *  bumps the set-generation epoch instead of clearing the tag
-     *  arrays; a full clear runs only when the u8 epoch wraps. */
+    /** Invalidate everything and clear statistics. */
     void reset();
 
     /** Clear statistics only, keeping cache contents (warmup end). */
@@ -205,47 +182,32 @@ class Cache
     const CacheConfig &config() const { return cfg_; }
     const CacheStats &stats() const { return stats_; }
 
-    /** Bytes of per-replay mutable state (tag/LRU/generation arrays) —
-     *  what one replay keeps hot per cache. */
+    /** Bytes of per-replay mutable state (tag/LRU arrays) — what one
+     *  replay keeps hot per cache. */
     u64 hotStateBytes() const
     {
         return tagsLo_.size() * sizeof(u32) +
-               tagsHi_.size() * sizeof(u16) +
-               lru_.size() * sizeof(u32) + lru8_.size() +
-               setClock8_.size() + gen_.size();
+               tagsHi_.size() * sizeof(u16) + lru_.size() * sizeof(u32);
     }
 
-    /** Line count at and above which an LRU cache stores u8 per-set
-     *  ages instead of u32 stamps (see the file header; exposed so
-     *  tests can construct caches on either side). */
-    static constexpr u32 kNarrowLruLines = 16384;
-
     /**
-     * @{ Compacted-tag representation constants, public so the static
-     * soundness analyzer (src/analyze) re-derives the invariants the
+     * @{ Split-tag representation constants, public so the static
+     * soundness analyzer (src/analyze) re-derives the invariant the
      * kernel assumes from the same values the kernel uses.
      *
      * kTagBits is the total stored tag width (the split u32 lo /
      * u16 hi pair). kNoTag is the invalid-way sentinel: all-ones in
      * that 48-bit representation. Raw tags are line numbers
-     * (address >> lineShift), which must stay below 2^kEpochShift for
-     * any address the layout engines produce — installs assert it —
-     * leaving bits 42..47 for the epoch salt tagOf() ORs in. A
-     * probe's key therefore only ever matches a tag installed in the
-     * same epoch, which is the entire invalidation check. Epochs
-     * cycle 0..kEpochPeriod-1 (all-ones excluded), so a salted tag's
-     * top six bits can never be all-ones and the sentinel never
-     * collides; the wrap — once every 63 resets — pays for a real
-     * clear (see reset()).
+     * (address >> lineShift), which must stay below kNoTag for any
+     * address the layout engines produce — installs assert it — so
+     * a real tag is never truncated and never forges the sentinel.
      */
     static constexpr u32 kTagBits = 48;
     static constexpr Addr kNoTag = (Addr{1} << kTagBits) - 1;
-    static constexpr u32 kEpochShift = 42;
-    static constexpr u8 kEpochPeriod = 63;
     /** @} */
 
-    /** Current u32 stamp-clock value (stamp-LRU caches only). Exposed
-     *  so tests can pin the reset-restart invariant: the clock must
+    /** Current u32 stamp-clock value (LRU caches only). Exposed so
+     *  tests can pin the reset-restart invariant: the clock must
      *  restart at every reset(), or a Machine's cumulative touches
      *  could wrap it mid-sweep and silently invert victim choice —
      *  2^32 touches is unreachable within one replay, which is the
@@ -260,88 +222,25 @@ class Cache
     }
 
   private:
-    /** Raw line-number tag of @p addr, salted with the epoch. */
-    Addr tagOf(Addr addr) const
-    {
-        return (addr >> lineShift_) |
-               (static_cast<Addr>(epoch_) << kEpochShift);
-    }
-
-    bool setLive(u32 set) const { return gen_[set] == epoch_; }
-
-    /** Bring a stale set up to the current epoch: all ways invalid,
-     *  ages zeroed — exactly the state an eager reset() would have
-     *  left it in. */
-    void materializeSet(size_t base, u32 set)
-    {
-        for (u32 w = 0; w < assoc_; ++w) {
-            tagsLo_[base + w] = static_cast<u32>(kNoTag);
-            tagsHi_[base + w] = static_cast<u16>(kNoTag >> 32);
-        }
-        if (lruTracked_) {
-            if (narrowLru_) {
-                for (u32 w = 0; w < assoc_; ++w)
-                    lru8_[base + w] = 0;
-                setClock8_[set] = 0;
-            } else {
-                for (u32 w = 0; w < assoc_; ++w)
-                    lru_[base + w] = 0;
-            }
-        }
-        gen_[set] = epoch_;
-    }
+    /** Line-number tag of @p addr. */
+    Addr tagOf(Addr addr) const { return addr >> lineShift_; }
 
     /**
-     * Mark way @p w most-recent in its set. For stamp-tracked caches
-     * the store is the only per-set write — nothing on this path
-     * *reads* per-set replacement state, so consecutive touches of
-     * one set never serialize through it (see the file header for the
-     * narrower schemes this out-measured). Narrow (big-LRU) caches
-     * take the BTB's per-set age-clock path instead; the narrowLru_
-     * branch is loop-invariant per cache instance, and the fixed-
-     * associativity template instantiations keep the L1s' inlined
-     * copies on the stamp side unconditionally predicted.
+     * Mark way @p w most-recent in its set. The store is the only
+     * per-set write — nothing on this path *reads* per-set
+     * replacement state, so consecutive touches of one set never
+     * serialize through it (see the file header for the narrower
+     * schemes this out-measured).
      */
-    void touchLru(size_t base, u32 set, u32 w)
+    void touchLru(size_t base, u32 w)
     {
         if (!lruTracked_)
             return;
-        if (narrowLru_) {
-            u8 clock = setClock8_[set];
-            if (clock == 0xff) {
-                renormalizeLru(base);
-                clock = static_cast<u8>(assoc_ - 1);
-            }
-            ++clock;
-            setClock8_[set] = clock;
-            lru8_[base + w] = clock;
-            return;
-        }
         lru_[base + w] = ++lruClock_;
-    }
-
-    /** Rank-renormalize one set's u8 ages to 0..assoc-1, preserving
-     *  age order with ties (never-touched ways) broken by way index —
-     *  exactly the order pickVictim's min scan observes, so victim
-     *  choice across a renormalization is unchanged. */
-    void renormalizeLru(size_t base)
-    {
-        u8 *ages = lru8_.data() + base;
-        u8 ranked[32]; // validate() caps LRU assoc at 32
-        for (u32 w = 0; w < assoc_; ++w) {
-            u8 r = 0;
-            for (u32 v = 0; v < assoc_; ++v)
-                r += static_cast<u8>(ages[v] < ages[w] ||
-                                     (ages[v] == ages[w] && v < w));
-            ranked[w] = r;
-        }
-        for (u32 w = 0; w < assoc_; ++w)
-            ages[w] = ranked[w];
     }
 
     /**
      * Way of the row at @p base holding @p tag, or assoc if absent.
-     * The caller must have checked the set is live.
      *
      * The scan is branchless across the ways: packed compares against
      * the u32 low halves (4 per vector) and the u16 high halves (8 per
@@ -413,24 +312,19 @@ class Cache
         const u32 assoc = kAssoc ? kAssoc : assoc_;
         const u32 set = setIndex(addr);
         const size_t base = static_cast<size_t>(set) * assoc;
-        // No liveness check: a stale set's tags carry an old epoch
-        // salt, so the scan misses on its own (see kEpochShift).
-        const u32 w = findWay<kAssoc>(base, tagOf(addr));
+        const Addr tag = tagOf(addr);
+        const u32 w = findWay<kAssoc>(base, tag);
         ++stats_.accesses;
         if (w != assoc) {
-            touchLru(base, set, w);
+            touchLru(base, w);
             return true;
         }
         ++stats_.misses;
-        if (!setLive(set))
-            materializeSet(base, set);
-        INTERF_ASSERT((addr >> lineShift_) <
-                      (Addr{1} << kEpochShift)); // salt headroom
-        const Addr tag = tagOf(addr);
+        INTERF_ASSERT(tag < kNoTag); // fits the 48-bit split tag
         u32 victim = pickVictim<kAssoc>(base);
         tagsLo_[base + victim] = static_cast<u32>(tag);
         tagsHi_[base + victim] = static_cast<u16>(tag >> 32);
-        touchLru(base, set, victim);
+        touchLru(base, victim);
         return false;
     }
 
@@ -450,26 +344,23 @@ class Cache
         const u32 set = setIndex(addr);
         const size_t base = static_cast<size_t>(set) * assoc;
         const Addr tag = tagOf(addr);
-        INTERF_ASSERT((addr >> lineShift_) <
-                      (Addr{1} << kEpochShift)); // salt headroom
-        if (!setLive(set))
-            materializeSet(base, set);
+        INTERF_ASSERT(tag < kNoTag); // fits the 48-bit split tag
         u32 w = findWay<kAssoc>(base, tag);
         if (w != assoc) {
-            touchLru(base, set, w);
+            touchLru(base, w);
             return w;
         }
         u32 victim = pickVictim<kAssoc>(base);
         tagsLo_[base + victim] = static_cast<u32>(tag);
         tagsHi_[base + victim] = static_cast<u16>(tag >> 32);
-        touchLru(base, set, victim);
+        touchLru(base, victim);
         return victim;
     }
 
     /**
      * Victim way: invalid ways first (in way order, which the kNoTag
      * scan preserves since candidates are visited low way first), then
-     * the policy's choice. The caller materialized the set.
+     * the policy's choice.
      */
     template <u32 kAssoc>
     u32 pickVictim(size_t base)
@@ -480,14 +371,6 @@ class Cache
             return invalid;
         if (cfg_.replacement == Replacement::Random)
             return static_cast<u32>(victimRng_.uniformInt(assoc));
-        if (narrowLru_) {
-            const u8 *lru = lru8_.data() + base;
-            u32 victim = 0;
-            for (u32 w = 1; w < assoc; ++w)
-                if (lru[w] < lru[victim])
-                    victim = w;
-            return victim;
-        }
         const u32 *lru = lru_.data() + base;
         u32 victim = 0;
         for (u32 w = 1; w < assoc; ++w)
@@ -501,24 +384,15 @@ class Cache
     u32 sets_;
     u32 assoc_;
     u32 lineShift_;
-    /** LRU ages are only ever read under Replacement::Lru; Random
+    /** LRU stamps are only ever read under Replacement::Lru; Random
      *  caches skip the stores — dead writes evict real state from the
      *  host's caches. */
     bool lruTracked_;
-    /** Lru representation: u8 per-set ages (lru8_/setClock8_) for
-     *  caches of >= kNarrowLruLines lines, u32 stamps (lru_) below.
-     *  Fixed by geometry at construction — not a knob. */
-    bool narrowLru_ = false;
-    /** Current reset epoch; a set is valid iff gen_[set] == epoch_. */
-    u8 epoch_ = 0;
     Rng victimRng_{0x5eed};
-    std::vector<u32> tagsLo_;    ///< @{ 48-bit tags, split for the
-    std::vector<u16> tagsHi_;    ///< packed scan; row-major by set. @}
-    std::vector<u32> lru_;       ///< Per-way stamp (small Lru caches).
-    u32 lruClock_ = 0;           ///< Cache-wide stamp clock.
-    std::vector<u8> lru8_;       ///< Per-way age (narrow Lru caches).
-    std::vector<u8> setClock8_;  ///< Per-set age clock (narrow Lru).
-    std::vector<u8> gen_;        ///< Per-set reset generation.
+    std::vector<u32> tagsLo_; ///< @{ 48-bit tags, split for the
+    std::vector<u16> tagsHi_; ///< packed scan; row-major by set. @}
+    std::vector<u32> lru_;    ///< Per-way stamp (Lru caches only).
+    u32 lruClock_ = 0;        ///< Cache-wide stamp clock.
     CacheStats stats_;
 };
 

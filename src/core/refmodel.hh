@@ -99,10 +99,9 @@ class RefHierarchy
     Count l2DataMisses_ = 0;
 };
 
-/** Result of a RefBtb lookup: full target address (the reference
- *  model stays address-tagged and address-valued; the optimized Btb
- *  stores u32 tokens instead, which the replay kernel proves
- *  equivalent through site-address injectivity). */
+/** Result of a RefBtb lookup: full target address. The reference
+ *  model tags by full PC; the optimized Btb stores the same target
+ *  addresses under u32 PC tags, which installs assert are lossless. */
 struct RefBtbResult
 {
     bool hit = false;

@@ -496,20 +496,14 @@ Machine::replayImpl(const trace::ReplayPlan &plan,
 
         // ---- Target prediction (BTB) for taken redirects.
         if (f & ReplayPlan::kTaken) {
-            // The BTB stores the plan's site index, not the 8-byte
-            // target address: block addresses are injective per layout
-            // (every block has nonzero size), so site-token equality
-            // is exactly target-address equality — same hit/miss
-            // stream as the reference loop's address-tagged BTB.
-            const u32 target_site = ev_target[ev_idx];
+            const Addr target = site_addr[ev_target[ev_idx]];
             if ((f & ReplayPlan::kCall) &&
                 ev_ras_push[ev_idx] != ReplayPlan::kNoSite)
                 ras_.push(site_addr[ev_ras_push[ev_idx]]);
             // Fused lookup + update: one tag scan (same outcome as the
             // reference loop's separate calls).
-            bpred::BtbResult hit =
-                btb_.lookupUpdate(branch_pc, target_site);
-            bool target_ok = hit.hit && hit.target == target_site;
+            bpred::BtbResult hit = btb_.lookupUpdate(branch_pc, target);
+            bool target_ok = hit.hit && hit.target == target;
             if (!target_ok) {
                 ++res.btbMisses;
                 if (!mispredicted) {

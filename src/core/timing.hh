@@ -131,10 +131,9 @@ class Machine
 
     /**
      * Microarchitectural hot-state bytes one replay keeps: the
-     * hierarchy's tag/age/generation arrays, the predictor's counter
-     * tables, the BTB, and the RAS ring — the state the compaction
-     * work budgets (DESIGN.md §5j) against the host's caches. The
-     * bench reports it per row.
+     * hierarchy's tag/stamp arrays, the predictor's counter tables,
+     * the BTB, and the RAS ring (DESIGN.md §5j). The bench reports
+     * it per row.
      */
     u64 laneStateBytes() const;
 

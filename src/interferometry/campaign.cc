@@ -25,7 +25,13 @@ Campaign::Campaign(const workloads::WorkloadProfile &profile,
       cfg_(config),
       program_(workloads::buildProgram(profile)),
       linker_(),
-      runner_(config.machine, config.runner)
+      // Fail closed, in every build type, before the runner builds its
+      // Machine: a geometry that breaks a representation invariant
+      // dies here with the analyzer's typed diagnostics rather than in
+      // a Cache/Btb constructor, or silently in the replay kernel.
+      runner_(analyze::requireSoundMachine(config.machine, nullptr,
+                                           "Campaign machine config"),
+              config.runner)
 {
     startNs_ = telemetry::nowNs();
     phaseBase_ = telemetry::phaseStats();
@@ -52,11 +58,9 @@ Campaign::Campaign(const workloads::WorkloadProfile &profile,
     // plan through flat per-layout address tables (the ReplayPlan
     // constructor records the "plan.compile" span itself).
     plan_ = trace::ReplayPlan(program_, trace_);
-    // Fail closed, in every build type: a machine geometry that breaks
-    // a compaction invariant (tag width, epoch salt, LRU wrap bound)
-    // must never reach the replay kernel, where it would assert in
-    // Debug and silently corrupt victim choice in Release. The static
-    // analysis is a few hundred comparisons per campaign.
+    // Now that the plan exists, prove the LRU stamp clocks cannot wrap
+    // within one replay of it (PlanBounds). The static analysis is a
+    // few hundred comparisons per campaign.
     analyze::requireSoundMachine(cfg_.machine, &plan_,
                                  "Campaign machine config");
     campaignKey_ =

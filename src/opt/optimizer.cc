@@ -88,7 +88,11 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
       cfg_(cfg),
       program_(workloads::buildProgram(profile)),
       linker_(),
-      runner_(cfg.machine, cfg.runner)
+      // Fail closed (every build type) before the runner builds its
+      // Machine. See analyze::requireSoundMachine.
+      runner_(analyze::requireSoundMachine(cfg.machine, nullptr,
+                                           "Optimizer machine config"),
+              cfg.runner)
 {
     {
         INTERF_SPAN("trace.generate");
@@ -104,9 +108,8 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
                              "Optimizer trace");
     }
     plan_ = trace::ReplayPlan(program_, trace_);
-    // Fail closed (every build type): refuse a machine config whose
-    // geometry breaks a compaction invariant before the first replay.
-    // See analyze::requireSoundMachine.
+    // The plan-bound half of the check: no LRU stamp clock may wrap
+    // within one replay of this plan.
     analyze::requireSoundMachine(cfg_.machine, &plan_,
                                  "Optimizer machine config");
     baseKey_ = store::fitnessBaseKey(
@@ -145,19 +148,10 @@ FitnessOracle::measureOne(core::MeasurementRunner &runner,
     // / batch ordinal are already on the thread's context).
     telemetry::ScopedCandidateDigest candidate(digest);
     // Trust boundary: Neighborhood moves construct these specs by
-    // permutation editing, so they should be injective by
-    // construction — prove it statically (O(procs) per spec, no
-    // tables) before fillCode's runtime check could trip on them.
-    if (verify::verifyOnTrust()) {
-        std::vector<layout::LayoutSpec> specs{cand.code};
-        verify::Artifacts a;
-        a.program = &program_;
-        a.layoutSpecs = &specs;
-        a.path = "<optimizer candidates>";
-        verify::VerifyResult result;
-        analyze::makeLayoutInjectivity()->run(a, result);
-        verify::requireClean(result, "Optimizer candidate layouts");
-    }
+    // permutation editing, so they should be well-formed permutations
+    // by construction — prove it before the linker trusts them.
+    if (verify::verifyOnTrust())
+        cand.code.validate(program_);
     trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
         layout::CodeLayout code = linker_.link(program_, cand.code);

@@ -161,31 +161,6 @@ LayoutTables::fillCode(const ReplayPlan &plan,
         siteAddr[s] = code.blockAddr(proc, block);
         branchAddr[s] = code.branchAddr(proc, block);
     }
-
-    // The replay kernel's BTB tags targets by plan site index where the
-    // reference model tags by target address (timing.cc), which agrees
-    // only if no two target sites share a block address in this layout.
-    // Blocks have nonzero size so a well-formed CodeLayout cannot alias
-    // them, but that is a property of the layout engines, not of this
-    // function — prove it at the trust boundary rather than assume it.
-    if (verify::verifyOnTrust()) {
-        std::vector<u8> is_target(n_sites, 0);
-        for (u32 t : plan.targetSite)
-            if (t != ReplayPlan::kNoSite)
-                is_target[t] = 1;
-        std::unordered_map<Addr, u32> site_at;
-        for (u32 s = 0; s < n_sites; ++s) {
-            if (!is_target[s])
-                continue;
-            auto [it, fresh] = site_at.try_emplace(siteAddr[s], s);
-            if (!fresh)
-                panic("layout aliases branch-target sites %u and %u at "
-                      "address %llx: site-index BTB tagging would "
-                      "diverge from the address-tagged reference",
-                      it->second, s,
-                      static_cast<unsigned long long>(siteAddr[s]));
-        }
-    }
 }
 
 LayoutTables::LayoutTables(const ReplayPlan &plan,

@@ -52,7 +52,6 @@ namespace interf::layout
 {
 class CodeLayout;
 class PageMap;
-struct LayoutSpec;
 }
 namespace interf::trace
 {
@@ -80,8 +79,6 @@ struct Artifacts
 
     /** Machine geometry for the src/analyze soundness passes. */
     const core::MachineConfig *machine = nullptr;
-    /** Candidate layout permutations for the injectivity pass. */
-    const std::vector<layout::LayoutSpec> *layoutSpecs = nullptr;
 
     /**
      * @{ Address-space overrides for the soundness passes (0 = derive

@@ -13,7 +13,7 @@
 #include "analyze/analyze.hh"
 #include "core/config.hh"
 #include "interferometry/campaign.hh"
-#include "layout/linker.hh"
+#include "opt/optimizer.hh"
 #include "trace/generator.hh"
 #include "trace/program.hh"
 #include "trace/replay.hh"
@@ -91,45 +91,14 @@ TEST(Analyze, BundledProfilesAnalyzeClean)
         trace::TraceGenerator gen(prog, profile.behaviourSeed);
         auto tr = gen.makeTrace(30000);
         trace::ReplayPlan plan(prog, tr);
-        const layout::Linker linker;
-        std::vector<layout::LayoutSpec> specs;
-        for (u64 seed = 0; seed < 3; ++seed) {
-            layout::LayoutKey key;
-            key.seed = seed;
-            specs.push_back(linker.specFor(prog, key));
-        }
-        EXPECT_CLEAN(analyze::analyzeMachine(machine, &plan, &prog,
-                                             &specs, name));
+        EXPECT_CLEAN(
+            analyze::analyzeMachine(machine, &plan, &prog, name));
     }
 }
 
 // ---------------------------------------------------------------------
-// ConfigSoundness: tag width, epoch salt, geometry, representation.
+// ConfigSoundness: tag width, geometry, BTB tags.
 // ---------------------------------------------------------------------
-
-TEST(Analyze, EpochSaltCollisionRejected)
-{
-    // 16-byte lines need 44 tag bits for the default address space —
-    // two of them land inside the epoch-salt field at bits 42..47, so
-    // a salted tag could alias a real line address across epochs.
-    auto r = analyze::analyzeMachine(machineWith("l1i.line=16"));
-    EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Cache, 0))
-        << render(r);
-    // The other caches keep 64-byte lines and stay sound.
-    EXPECT_FALSE(hasDiag(r, "config-soundness", EntityKind::Cache, 1))
-        << render(r);
-    EXPECT_FALSE(hasDiag(r, "config-soundness", EntityKind::Cache, 2))
-        << render(r);
-}
-
-TEST(Analyze, ThirtyTwoByteLinesSitAtTheSaltBoundary)
-{
-    // 32-byte lines need exactly kEpochShift tag bits: the widest
-    // geometry that is still sound. Guards off-by-one drift in the
-    // boundary comparison.
-    EXPECT_CLEAN(analyze::analyzeMachine(
-        machineWith("l1i.line=32,l1d.line=32,l2.line=32")));
-}
 
 TEST(Analyze, TagWidthOverflowRejectedForHugeAddressSpace)
 {
@@ -146,16 +115,31 @@ TEST(Analyze, TagWidthOverflowRejectedForHugeAddressSpace)
         EXPECT_TRUE(
             hasDiag(r, "config-soundness", EntityKind::Cache, cache))
             << render(r);
+
+    // The boundary: a 2^54 ceiling puts the largest line number at
+    // 2^48 - 1, exactly the all-ones kNoTag sentinel, which would read
+    // as an invalid way; one bit less is the widest sound space.
+    VerifyResult at_sentinel;
+    analyze::auditCacheConfig(machine.hierarchy.l1i, 0, Addr{1} << 54,
+                              "<boundary>", at_sentinel);
+    EXPECT_TRUE(hasDiag(at_sentinel, "config-soundness",
+                        EntityKind::Cache, 0))
+        << render(at_sentinel);
+    VerifyResult below;
+    analyze::auditCacheConfig(machine.hierarchy.l1i, 0, Addr{1} << 53,
+                              "<boundary>", below);
+    EXPECT_CLEAN(below);
 }
 
-TEST(Analyze, LruAssociativityPastRenormalizationRejected)
+TEST(Analyze, WideLruAssociativityAnalyzesClean)
 {
-    // 33-way LRU breaks the u8-age renormalization contract (and the
-    // Cache constructor would fatal); the analyzer reports it as a
-    // typed diagnostic instead.
-    auto r = analyze::analyzeMachine(machineWith("l2.assoc=33"));
-    EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Cache, 2))
-        << render(r);
+    // u32 LRU stamps have no associativity cap: LRU caches wider than
+    // 32 ways (48-way L2: 2048 sets; 64-way L1s: 8 sets) are sound.
+    for (const char *spec :
+         {"l2.assoc=48", "l1d.assoc=64", "l1i.assoc=64"}) {
+        SCOPED_TRACE(spec);
+        EXPECT_CLEAN(analyze::analyzeMachine(machineWith(spec)));
+    }
 }
 
 TEST(Analyze, BrokenGeometryRejectedNotFatal)
@@ -164,47 +148,6 @@ TEST(Analyze, BrokenGeometryRejectedNotFatal)
     auto r = analyze::analyzeMachine(machineWith("l1d.line=48"));
     EXPECT_TRUE(hasDiag(r, "config-soundness", EntityKind::Cache, 1))
         << render(r);
-}
-
-TEST(Analyze, NarrowLruThresholdMatchesConstructor)
-{
-    const auto machine = core::MachineConfig::xeonE5440();
-    // 32 KiB / 64 B = 512 lines: far below kNarrowLruLines -> stamps.
-    EXPECT_FALSE(analyze::narrowLruFor(machine.hierarchy.l1i));
-    // 6 MiB / 64 B = 98304 lines: narrow u8 ages.
-    EXPECT_TRUE(analyze::narrowLruFor(machine.hierarchy.l2));
-}
-
-TEST(Analyze, ClaimedLruRepresentationMismatchCaught)
-{
-    const auto machine = core::MachineConfig::xeonE5440();
-
-    // A sub-threshold cache claiming narrow u8 ages: the constructor
-    // would pick stamps, so the claim is a seeded unsoundness.
-    VerifyResult narrow_claim;
-    analyze::auditLruRepresentation(machine.hierarchy.l1i,
-                                    /*claimed_narrow=*/true, 0,
-                                    "<claims>", narrow_claim);
-    EXPECT_TRUE(hasDiag(narrow_claim, "config-soundness",
-                        EntityKind::Cache, 0))
-        << render(narrow_claim);
-
-    // And the reverse: a big L2 claiming u32 stamps.
-    VerifyResult stamp_claim;
-    analyze::auditLruRepresentation(machine.hierarchy.l2,
-                                    /*claimed_narrow=*/false, 2,
-                                    "<claims>", stamp_claim);
-    EXPECT_TRUE(hasDiag(stamp_claim, "config-soundness",
-                        EntityKind::Cache, 2))
-        << render(stamp_claim);
-
-    // Truthful claims are clean.
-    VerifyResult truthful;
-    analyze::auditLruRepresentation(machine.hierarchy.l1i, false, 0,
-                                    "<claims>", truthful);
-    analyze::auditLruRepresentation(machine.hierarchy.l2, true, 2,
-                                    "<claims>", truthful);
-    EXPECT_CLEAN(truthful);
 }
 
 TEST(Analyze, BtbTagOverflowRejected)
@@ -241,31 +184,38 @@ TEST(Analyze, StampWrapBoundSeam)
     // A stamp cache (L1I geometry) whose per-replay advance can reach
     // the wrap: victim choice could invert mid-replay.
     VerifyResult over;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l1i,
-                                  /*claimed_narrow=*/false, wrap, 0,
+    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, wrap, 0,
                                   "<plan>", over);
     EXPECT_TRUE(hasDiag(over, "plan-bounds", EntityKind::Cache, 0))
         << render(over);
 
     // One below the wrap is proven safe.
     VerifyResult under;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, false,
-                                  wrap - 1, 0, "<plan>", under);
+    analyze::checkLruAdvanceBound(machine.hierarchy.l1i, wrap - 1, 0,
+                                  "<plan>", under);
     EXPECT_CLEAN(under);
 
-    // Narrow u8-age caches renormalize per touch: wrap-safe by
-    // construction, any bound is fine.
-    VerifyResult narrow;
-    analyze::checkLruAdvanceBound(machine.hierarchy.l2, true,
-                                  wrap * 16, 2, "<plan>", narrow);
-    EXPECT_CLEAN(narrow);
+    // The L2 is LRU too and keeps the same u32 stamps: bounded alike.
+    VerifyResult l2_over;
+    analyze::checkLruAdvanceBound(machine.hierarchy.l2, wrap, 2,
+                                  "<plan>", l2_over);
+    EXPECT_TRUE(hasDiag(l2_over, "plan-bounds", EntityKind::Cache, 2))
+        << render(l2_over);
+
+    // Random-replacement caches keep no stamps: any bound is fine.
+    cache::CacheConfig random_l2 = machine.hierarchy.l2;
+    random_l2.replacement = cache::Replacement::Random;
+    VerifyResult random;
+    analyze::checkLruAdvanceBound(random_l2, wrap * 16, 2, "<plan>",
+                                  random);
+    EXPECT_CLEAN(random);
 }
 
 TEST(Analyze, PlanWithWrappingAdvanceBoundRejected)
 {
-    // A hand-built plan whose blocks are so large the L1I fetch-line
-    // bound overflows the u32 stamp clock within one replay. 70
-    // events of ~4 GiB of code each bound ~4.7e9 fetch lines.
+    // A hand-built plan whose blocks are so large the fetch-line bound
+    // overflows the u32 stamp clock within one replay. 70 events of
+    // ~4 GiB of code each bound ~4.7e9 fetch lines.
     const auto machine = core::MachineConfig::xeonE5440();
     trace::ReplayPlan plan;
     plan.site.assign(70, 0);
@@ -275,14 +225,36 @@ TEST(Analyze, PlanWithWrappingAdvanceBoundRejected)
     EXPECT_GE(bounds.l1i, u64{1} << 32);
 
     auto r = analyze::analyzeMachine(machine, &plan);
-    // L1I (stamps) trips the wrap bound; L2 is narrow and wrap-safe,
-    // L1D advance is bounded by the (empty) memory stream.
+    // L1I and L2 (both stamp LRU) trip the wrap bound; L1D advance is
+    // bounded by the (empty) memory stream.
     EXPECT_TRUE(hasDiag(r, "plan-bounds", EntityKind::Cache, 0))
         << render(r);
     EXPECT_FALSE(hasDiag(r, "plan-bounds", EntityKind::Cache, 1))
         << render(r);
-    EXPECT_FALSE(hasDiag(r, "plan-bounds", EntityKind::Cache, 2))
+    EXPECT_TRUE(hasDiag(r, "plan-bounds", EntityKind::Cache, 2))
         << render(r);
+
+    // Only the L2 reaches the wrap: 2^31 - 1 fetch lines bound the
+    // L1I at 2^32 - 2, and two data accesses lift the L2's bound
+    // (2 * fetchLines + memCount) to exactly 2^32.
+    trace::ReplayPlan l2_only;
+    const u32 line = machine.hierarchy.l1i.lineBytes;
+    l2_only.site.assign(32, 0);
+    l2_only.bytes.assign(31, line * ((u32{1} << 26) - 1));
+    l2_only.bytes.push_back(line * ((u32{1} << 26) - 2));
+    l2_only.memId.assign(2, 0);
+    auto l2_bounds = analyze::lruAdvanceBounds(machine, l2_only);
+    EXPECT_EQ(l2_bounds.fetchLines, (u64{1} << 31) - 1);
+    EXPECT_EQ(l2_bounds.l1i, (u64{1} << 32) - 2);
+    EXPECT_EQ(l2_bounds.l2, u64{1} << 32);
+
+    auto r2 = analyze::analyzeMachine(machine, &l2_only);
+    EXPECT_FALSE(hasDiag(r2, "plan-bounds", EntityKind::Cache, 0))
+        << render(r2);
+    EXPECT_FALSE(hasDiag(r2, "plan-bounds", EntityKind::Cache, 1))
+        << render(r2);
+    EXPECT_TRUE(hasDiag(r2, "plan-bounds", EntityKind::Cache, 2))
+        << render(r2);
 }
 
 TEST(Analyze, AdvanceBoundsFollowPlanCounts)
@@ -307,94 +279,6 @@ TEST(Analyze, AdvanceBoundsFollowPlanCounts)
     EXPECT_EQ(bounds.forCache(0), bounds.l1i);
     EXPECT_EQ(bounds.forCache(1), bounds.l1d);
     EXPECT_EQ(bounds.forCache(2), bounds.l2);
-}
-
-// ---------------------------------------------------------------------
-// LayoutInjectivity: aliased targets, zero-byte blocks, spec shape.
-// ---------------------------------------------------------------------
-
-TEST(Analyze, AliasedBranchTargetSitesCaught)
-{
-    // Sites 0 and 2 are both branch targets at the same address: u32
-    // site tokens would call unequal targets equal. The diagnostic
-    // names the higher site.
-    VerifyResult r;
-    analyze::checkSiteAddressInjectivity(
-        {0x1000, 0x2000, 0x1000}, {1, 1, 1}, "<sites>", r);
-    EXPECT_TRUE(hasDiag(r, "layout-injectivity", EntityKind::Site, 2))
-        << render(r);
-
-    // An alias is only unsound if both sites can be targets.
-    VerifyResult ok;
-    analyze::checkSiteAddressInjectivity({0x1000, 0x1000}, {1, 0},
-                                         "<sites>", ok);
-    EXPECT_CLEAN(ok);
-}
-
-/** Two-file, two-procedure program for the layout matrix. */
-trace::Program
-makeTwoProc(u32 zero_byte_block = ~u32{0})
-{
-    trace::Program prog;
-    prog.addFile("a.o");
-    prog.addFile("b.o");
-
-    u32 site = 0;
-    for (u32 p = 0; p < 2; ++p) {
-        trace::Procedure proc;
-        proc.name = p == 0 ? "main" : "callee";
-        proc.fileIndex = p;
-        proc.align = 16;
-        for (u32 b = 0; b < 2; ++b, ++site) {
-            trace::BasicBlock blk;
-            blk.bytes = site == zero_byte_block ? 0 : 16;
-            blk.nInsts = 4;
-            if (b == 1)
-                blk.branch.kind = trace::OpClass::Return;
-            proc.blocks.push_back(blk);
-        }
-        prog.addProcedure(proc);
-        prog.placeInFile(p, p);
-    }
-    return prog;
-}
-
-TEST(Analyze, ZeroByteBlockDefeatsInjectivity)
-{
-    // Dense site id 3 = callee's second block.
-    auto prog = makeTwoProc(/*zero_byte_block=*/3);
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog)};
-    auto r = analyze::analyzeMachine(core::MachineConfig::xeonE5440(),
-                                     nullptr, &prog, &specs);
-    EXPECT_TRUE(hasDiag(r, "layout-injectivity", EntityKind::Block, 3))
-        << render(r);
-}
-
-TEST(Analyze, MalformedSpecCaughtByIndex)
-{
-    auto prog = makeTwoProc();
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog),
-        layout::LayoutSpec::authored(prog)};
-    specs[1].fileOrder = {0, 0}; // Not a permutation.
-    auto r = analyze::analyzeMachine(core::MachineConfig::xeonE5440(),
-                                     nullptr, &prog, &specs);
-    EXPECT_FALSE(
-        hasDiag(r, "layout-injectivity", EntityKind::Artifact, 0))
-        << render(r);
-    EXPECT_TRUE(
-        hasDiag(r, "layout-injectivity", EntityKind::Artifact, 1))
-        << render(r);
-}
-
-TEST(Analyze, AuthoredSpecsAreInjective)
-{
-    auto prog = makeTwoProc();
-    std::vector<layout::LayoutSpec> specs = {
-        layout::LayoutSpec::authored(prog)};
-    EXPECT_CLEAN(analyze::analyzeMachine(
-        core::MachineConfig::xeonE5440(), nullptr, &prog, &specs));
 }
 
 // ---------------------------------------------------------------------
@@ -430,7 +314,9 @@ TEST(Analyze, ConfigOverrideErrorsAreTyped)
 
 TEST(AnalyzeDeathTest, RequireSoundMachinePanicsOnUnsoundConfig)
 {
-    auto m = machineWith("l1i.line=16");
+    // 64 BTB ways overflow the u8 per-set ages and the packed scan's
+    // u32 way mask.
+    auto m = machineWith("btb.ways=64");
     EXPECT_DEATH(
         analyze::requireSoundMachine(m, nullptr, "test boundary"),
         "test boundary");
@@ -442,10 +328,22 @@ TEST(AnalyzeDeathTest, CampaignRefusesUnsoundMachine)
     cfg.instructionBudget = 20000;
     cfg.initialLayouts = 2;
     cfg.maxLayouts = 2;
-    cfg.machine.hierarchy.l1i.lineBytes = 16;
+    // The Btb constructor would refuse 64 ways too; the analyzer's
+    // typed diagnostic must fire first, before any Machine is built.
+    cfg.machine.btbWays = 64;
     EXPECT_DEATH(interferometry::Campaign(
                      workloads::defaultProfile("unsound"), cfg),
                  "Campaign machine config");
+}
+
+TEST(AnalyzeDeathTest, OptimizerRefusesUnsoundMachine)
+{
+    opt::OptConfig cfg;
+    cfg.instructionBudget = 20000;
+    cfg.machine.btbWays = 64;
+    EXPECT_DEATH(opt::FitnessOracle(
+                     workloads::defaultProfile("unsound"), cfg),
+                 "Optimizer machine config");
 }
 
 } // anonymous namespace

@@ -55,7 +55,7 @@ TEST(Btb, AssociativityHoldsConflictingBranches)
             pcs.push_back(pc);
     }
     for (size_t i = 0; i < pcs.size(); ++i)
-        btb.update(pcs[i], static_cast<u32>(0x1000 + i));
+        btb.update(pcs[i], 0x1000 + i);
     for (size_t i = 0; i < pcs.size(); ++i) {
         auto res = btb.lookup(pcs[i]);
         EXPECT_TRUE(res.hit);
@@ -90,7 +90,7 @@ TEST(Btb, ResetEmptiesAllEntries)
 {
     Btb btb(16, 2);
     for (Addr pc = 0; pc < 64; ++pc)
-        btb.update(0x400000 + pc * 4, static_cast<u32>(pc));
+        btb.update(0x400000 + pc * 4, pc);
     btb.reset();
     for (Addr pc = 0; pc < 64; ++pc)
         EXPECT_FALSE(btb.lookup(0x400000 + pc * 4).hit);
@@ -99,19 +99,18 @@ TEST(Btb, ResetEmptiesAllEntries)
 TEST(Btb, RepeatedResetNeverResurrectsEntries)
 {
     // reset() must empty the BTB no matter how many resets precede it
-    // (a lazy epoch-versioned reset was tried and reverted here — see
-    // btb.cc — and this property is what any future scheme has to
-    // keep): entries installed before any reset must never resurface
-    // after it. Drive many reset cycles touching a rotating subset of
-    // sets, the aliasing-prone pattern for generation-tag schemes.
+    // (the property any lazy reset scheme would have to keep): entries
+    // installed before any reset must never resurface after it. Drive
+    // many reset cycles touching a rotating subset of sets, the
+    // aliasing-prone pattern for generation-tag schemes.
     Btb btb(16, 2);
     for (int epoch = 0; epoch < 600; ++epoch) {
         Addr pc = 0x400000 + static_cast<Addr>(epoch % 7) * 4;
         EXPECT_FALSE(btb.lookup(pc).hit) << "epoch " << epoch;
-        btb.update(pc, static_cast<u32>(epoch));
+        btb.update(pc, static_cast<Addr>(epoch));
         auto res = btb.lookup(pc);
         EXPECT_TRUE(res.hit);
-        EXPECT_EQ(res.target, static_cast<u32>(epoch));
+        EXPECT_EQ(res.target, static_cast<Addr>(epoch));
         btb.reset();
     }
     // And a fully-populated BTB must be fully empty after the 600th.

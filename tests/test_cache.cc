@@ -1,5 +1,7 @@
 /** @file Tests for the set-associative cache model. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
@@ -48,16 +50,6 @@ TEST(CacheConfigDeathTest, NonPowerOfTwoSetsNamesTheAliasing)
     EXPECT_EQ(bad.numSets(), 3u);
     EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
                 "silently alias sets");
-}
-
-TEST(CacheConfigDeathTest, LruWiderThan32WaysIsFatal)
-{
-    // u8 per-set ages cap LRU associativity at 32.
-    CacheConfig bad{"wide-lru", 64 * 64, 64, 64};
-    EXPECT_EXIT(bad.validate(), ::testing::ExitedWithCode(1),
-                "exceeds 32");
-    CacheConfig ok{"wide-rnd", 64 * 64, 64, 64, Replacement::Random};
-    ok.validate(); // Random replacement never reads ages
 }
 
 TEST(Cache, ColdMissThenHit)
@@ -223,26 +215,32 @@ TEST(Cache, ProbeWayPredictsAccessAcrossAssociativities)
     }
 }
 
+/** The modeled 6 MiB, 24-way LRU L2: the largest state reset()
+ *  clears (98 304 lines of tags and u32 stamps). */
+CacheConfig
+l2Config()
+{
+    return CacheConfig{"L2", 6 << 20, 24, 64};
+}
+
 TEST(Cache, RepeatedResetNeverResurrectsLines)
 {
-    // Property any lazy reset scheme must keep, driven through three
-    // full 63-reset epoch cycles: a line installed before a reset
-    // never reads as present after it. The dangerous instant is the
-    // wrap — a set untouched for exactly kEpochPeriod resets would
-    // alias the recycled epoch salt and resurrect its tags, which the
-    // wrap's full clear prevents.
-    Cache cache(smallConfig());
-    for (int r = 0; r < 200; ++r) {
-        const Addr a = 0x10000 + static_cast<Addr>(r) * 64;
-        EXPECT_FALSE(cache.contains(a));
-        cache.access(a);
-        EXPECT_TRUE(cache.contains(a));
-        cache.reset();
-        for (int p = 0; p <= r; ++p)
-            EXPECT_FALSE(cache.contains(0x10000 +
-                                        static_cast<Addr>(p) * 64))
-                << "line from reset " << p << " resurfaced at reset "
-                << r;
+    // A line installed before a reset never reads as present after
+    // it, on a small L1-class geometry and at L2 size.
+    for (const CacheConfig &cfg : {smallConfig(), l2Config()}) {
+        Cache cache(cfg);
+        for (int r = 0; r < 200; ++r) {
+            const Addr a = 0x10000 + static_cast<Addr>(r) * 64;
+            EXPECT_FALSE(cache.contains(a)) << cfg.name;
+            cache.access(a);
+            EXPECT_TRUE(cache.contains(a)) << cfg.name;
+            cache.reset();
+            for (int p = 0; p <= r; ++p)
+                EXPECT_FALSE(cache.contains(
+                    0x10000 + static_cast<Addr>(p) * 64))
+                    << cfg.name << ": line from reset " << p
+                    << " resurfaced at reset " << r;
+        }
     }
 }
 
@@ -250,93 +248,55 @@ TEST(Cache, ResetRestartsStampClock)
 {
     // The u32 stamp clock has no wrap handling — touchLru stores
     // ++lruClock_ raw — so its wrap bound must be per replay, not per
-    // Machine lifetime: reset() restarts it at 0 exactly as the
-    // pre-epoch eager clear did. Without the restart, ~2^32 cumulative
-    // L1 touches (reachable across a long optimizer sweep's thousands
-    // of replays on one Machine) wrap stamps to small values and
-    // silently invert LRU victim choice against the fresh-per-run
-    // reference model. Restarting is safe under the lazy reset: stale
-    // sets can't hit (epoch-salted tags), and every LRU read or write
-    // happens only after materializeSet() re-zeroes the set's stamps.
-    Cache cache(smallConfig());
-    for (Addr a = 0; a < 1024; a += 64)
-        cache.access(0x60000 + a);
-    EXPECT_GT(cache.lruClockForTest(), 0u);
-    cache.reset();
-    EXPECT_EQ(cache.lruClockForTest(), 0u);
-    // Same invariant across the epoch wrap's eager-clear path.
-    for (int r = 0; r < 100; ++r) {
-        cache.access(0x60000);
+    // Machine lifetime: reset() restarts it at 0. Without the restart,
+    // ~2^32 cumulative touches (reachable across a long optimizer
+    // sweep's thousands of replays on one Machine) wrap stamps to
+    // small values and silently invert LRU victim choice against the
+    // fresh-per-run reference model.
+    for (const CacheConfig &cfg : {smallConfig(), l2Config()}) {
+        Cache cache(cfg);
+        for (Addr a = 0; a < 1024; a += 64)
+            cache.access(0x60000 + a);
+        EXPECT_GT(cache.lruClockForTest(), 0u) << cfg.name;
         cache.reset();
-        EXPECT_EQ(cache.lruClockForTest(), 0u) << "reset " << r;
+        EXPECT_EQ(cache.lruClockForTest(), 0u) << cfg.name;
+        for (int r = 0; r < 100; ++r) {
+            cache.access(0x60000);
+            cache.reset();
+            EXPECT_EQ(cache.lruClockForTest(), 0u)
+                << cfg.name << " reset " << r;
+        }
     }
 }
 
-/** Smallest geometry that takes the narrow (u8 per-set age) LRU
- *  representation: kNarrowLruLines lines, 4-way. */
-CacheConfig
-narrowConfig()
+TEST(Cache, SixtyFourWayLruEvictsInLruOrder)
 {
-    return CacheConfig{"narrow",
-                       static_cast<u64>(64) * Cache::kNarrowLruLines, 4,
-                       64};
-}
+    // u32 stamps have no associativity cap: a 64-way LRU cache
+    // constructs and evicts strictly least-recent first. The packed
+    // scan covers at most 32 ways, so this drives the scalar scan.
+    const CacheConfig cfg{"wide-lru", 32 << 10, 64, 64};
+    ASSERT_EQ(cfg.replacement, Replacement::Lru);
+    ASSERT_EQ(cfg.numSets(), 8u);
 
-TEST(Cache, NarrowLruMatchesStampLruAcrossRenormalization)
-{
-    // The u8 per-set age scheme must be replacement-identical to the
-    // u32 stamp scheme: drive one set of a narrow cache and one set
-    // of a stamp cache with the same 6-line reference string, long
-    // enough to cross the 255-touch renormalization many times, and
-    // expect the exact same hit/miss sequence (LRU depends only on
-    // recency order, which renormalization preserves).
-    Cache narrow(narrowConfig());
-    Cache stamp(CacheConfig{"stamp", 64 * 4 * 8, 4, 64});
-    const Addr nstride =
-        static_cast<Addr>(narrowConfig().numSets()) * 64;
-    const Addr sstride = 8 * 64;
-    u64 x = 0x123456789abcdefull;
-    for (int i = 0; i < 4000; ++i) {
-        x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const u64 slot = (x >> 40) % 6;
-        EXPECT_EQ(narrow.access(slot * nstride),
-                  stamp.access(slot * sstride))
-            << "diverged at access " << i;
+    Cache cache(cfg);
+    const Addr stride = static_cast<Addr>(cfg.numSets()) * 64;
+    for (u32 i = 0; i < 64; ++i)
+        EXPECT_FALSE(cache.access(i * stride));
+    // Re-touch the 64 resident lines in a scrambled order; that order
+    // is the eviction order from here on.
+    std::vector<u32> order(64);
+    for (u32 i = 0; i < 64; ++i)
+        order[i] = (i * 37 + 11) % 64;
+    for (u32 line : order)
+        EXPECT_TRUE(cache.access(line * stride));
+    for (u32 k = 0; k < 64; ++k) {
+        EXPECT_FALSE(cache.access((64 + k) * stride));
+        EXPECT_FALSE(cache.contains(order[k] * stride)) << "k " << k;
+        if (k + 1 < 64) {
+            EXPECT_TRUE(cache.contains(order[k + 1] * stride))
+                << "k " << k;
+        }
     }
-    EXPECT_EQ(narrow.stats().misses, stamp.stats().misses);
-}
-
-TEST(Cache, NarrowLruRenormalizationPreservesEvictionOrder)
-{
-    Cache cache(narrowConfig());
-    const Addr stride = static_cast<Addr>(narrowConfig().numSets()) * 64;
-    const Addr a = 0, b = stride, c = 2 * stride, d = 3 * stride;
-    cache.access(a);
-    cache.access(b);
-    cache.access(c);
-    cache.access(d);
-    // Touch everything but `a` far past the u8 clock's 255 limit; the
-    // renormalizations in between must keep `a` the eviction victim.
-    for (int i = 0; i < 300; ++i) {
-        EXPECT_TRUE(cache.access(b));
-        EXPECT_TRUE(cache.access(c));
-        EXPECT_TRUE(cache.access(d));
-    }
-    cache.access(4 * stride); // evicts the least-recent way
-    EXPECT_FALSE(cache.contains(a));
-    EXPECT_TRUE(cache.contains(b));
-    EXPECT_TRUE(cache.contains(c));
-    EXPECT_TRUE(cache.contains(d));
-}
-
-TEST(Cache, NarrowLruQuartersAgeStorage)
-{
-    // 6 tag bytes + 1 age byte per line, 1 clock + 1 generation byte
-    // per set — the accounting the footprint claims rest on.
-    Cache narrow(narrowConfig());
-    const u64 lines = Cache::kNarrowLruLines;
-    const u64 sets = lines / 4;
-    EXPECT_EQ(narrow.hotStateBytes(), lines * 7 + sets * 2);
 }
 
 } // anonymous namespace

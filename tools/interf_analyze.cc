@@ -3,12 +3,11 @@
  * Run the machine-config soundness analyzer from the command line.
  *
  * Front-end to src/analyze: builds a MachineConfig (the default Xeon
- * E5440, optionally rewritten by --config fleet overrides), optionally
- * binds a profile's program / a generated replay plan / seeded layout
- * specs, and runs the ConfigSoundness / PlanBounds / LayoutInjectivity
- * passes. Prints the derived facts plus diagnostics as text (default)
- * or JSON (--json; schema in docs/analyze-report.schema.json). Exit
- * codes match interf_verify:
+ * E5440, optionally rewritten by --config overrides), optionally binds
+ * a profile's program and a generated replay plan, and runs the
+ * ConfigSoundness / PlanBounds passes. Prints the derived facts plus
+ * diagnostics as text (default) or JSON (--json; schema in
+ * docs/analyze-report.schema.json). Exit codes match interf_verify:
  *
  *   0  the config is proven sound (warnings allowed unless --strict);
  *   1  at least one error diagnostic (--strict: any diagnostic);
@@ -16,18 +15,16 @@
  *
  * Examples:
  *   interf_analyze                                  # default machine
- *   interf_analyze --config l1i.line=16             # salt collision
- *   interf_analyze --profile 400.perlbench --budget 200000 --layouts 8
- *   interf_analyze --max-addr 52 --json             # huge address space
+ *   interf_analyze --max-addr 56                    # tags overflow 48 bits
+ *   interf_analyze --profile 400.perlbench --budget 200000
+ *   interf_analyze --max-addr 52 --json             # large address space
  */
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "analyze/analyze.hh"
 #include "core/config.hh"
-#include "layout/linker.hh"
 #include "trace/generator.hh"
 #include "trace/replay.hh"
 #include "util/json.hh"
@@ -71,8 +68,6 @@ cacheFacts(const cache::CacheConfig &cfg, Addr line_ceiling,
     j.set("requiredTagBits",
           analyze::requiredTagBits(cfg.lineBytes, line_ceiling));
     j.set("tagBits", cache::Cache::kTagBits);
-    j.set("epochShift", cache::Cache::kEpochShift);
-    j.set("narrowLru", analyze::narrowLruFor(cfg));
     j.set("lruAdvanceBound", lru_advance_bound);
     return j;
 }
@@ -83,10 +78,10 @@ int
 main(int argc, char **argv)
 {
     OptionParser opts("interf_analyze",
-                      "statically prove the replay kernel's compaction "
-                      "invariants for a machine config");
+                      "statically prove the replay kernel's "
+                      "representation invariants for a machine config");
     opts.addString("config", "",
-                   "fleet overrides applied to the default machine, "
+                   "overrides applied to the default machine, "
                    "e.g. l1i.line=16,l2.assoc=24,btb.sets=512");
     opts.addString("profile", "",
                    "suite benchmark whose program bounds the code "
@@ -94,9 +89,6 @@ main(int argc, char **argv)
     opts.addInt("budget", 0,
                 "instruction budget: generate a trace and run the "
                 "plan wrap-bound analysis (requires --profile)");
-    opts.addInt("layouts", 0,
-                "expand this many seeded layout specs and run the "
-                "injectivity proof (requires --profile)");
     opts.addInt("max-addr", 0,
                 "override the cache-indexed address ceiling to "
                 "2^BITS (what-if analysis for larger address spaces)");
@@ -107,13 +99,12 @@ main(int argc, char **argv)
     const std::string profile_name = opts.getString("profile");
     const std::string override_spec = opts.getString("config");
     const i64 budget = opts.getInt("budget");
-    const i64 layouts = opts.getInt("layouts");
     const i64 max_addr = opts.getInt("max-addr");
 
-    if (profile_name.empty() && (budget > 0 || layouts > 0))
-        return usageError("--budget and --layouts require --profile");
-    if (budget < 0 || layouts < 0)
-        return usageError("--budget and --layouts must be >= 0");
+    if (profile_name.empty() && budget > 0)
+        return usageError("--budget requires --profile");
+    if (budget < 0)
+        return usageError("--budget must be >= 0");
     if (max_addr < 0 || max_addr > 63)
         return usageError("--max-addr must be in 0..63");
 
@@ -129,7 +120,6 @@ main(int argc, char **argv)
     trace::Program prog;
     trace::Trace tr;
     trace::ReplayPlan plan;
-    std::vector<layout::LayoutSpec> specs;
     verify::Artifacts arts;
     arts.machine = &machine;
     arts.path = strprintf("<machine '%s'>", machine.name.c_str());
@@ -151,14 +141,6 @@ main(int argc, char **argv)
             plan = trace::ReplayPlan(prog, tr);
             arts.plan = &plan;
         }
-        const layout::Linker linker;
-        for (i64 i = 0; i < layouts; ++i) {
-            layout::LayoutKey key;
-            key.seed = static_cast<u64>(i);
-            specs.push_back(linker.specFor(prog, key));
-        }
-        if (!specs.empty())
-            arts.layoutSpecs = &specs;
     }
     if (max_addr > 0)
         arts.lineAddrCeiling = Addr{1} << max_addr;
@@ -177,7 +159,7 @@ main(int argc, char **argv)
 
     if (opts.getFlag("json")) {
         Json report = Json::object();
-        report.set("schemaVersion", 1);
+        report.set("schemaVersion", 2);
         report.set("tool", "interf_analyze");
         Json jm = Json::object();
         jm.set("name", machine.name);
@@ -216,16 +198,14 @@ main(int argc, char **argv)
             const cache::CacheConfig &c = *caches[i];
             std::printf(
                 "  %-4s %8llu B, %2u-way, %3u B lines, %-6s: "
-                "%2u/%u tag bits%s%s\n",
+                "%2u/%u tag bits%s\n",
                 c.name.c_str(),
                 static_cast<unsigned long long>(c.sizeBytes), c.assoc,
                 c.lineBytes, replacementName(c.replacement),
                 analyze::requiredTagBits(c.lineBytes,
                                          space.lineCeiling),
                 cache::Cache::kTagBits,
-                analyze::narrowLruFor(c) ? ", u8 ages" : "",
-                c.replacement == cache::Replacement::Lru &&
-                        !analyze::narrowLruFor(c)
+                c.replacement == cache::Replacement::Lru
                     ? ", u32 stamps"
                     : "");
         }

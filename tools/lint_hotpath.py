@@ -60,9 +60,8 @@ HOT_FILES = [
         "markers": False,
         "functions": [
             "access", "contains", "probeWay", "accessAt", "install",
-            "materializeSet", "touchLru", "renormalizeLru", "findWay",
-            "accessT", "probeWayT", "installT", "pickVictim",
-            "setIndex", "tagOf",
+            "touchLru", "findWay", "accessT", "probeWayT", "installT",
+            "pickVictim", "setIndex", "tagOf",
         ],
     },
     {
