@@ -62,10 +62,9 @@ Cache::reset()
               static_cast<u16>(kNoTag >> 32));
     std::fill(lru_.begin(), lru_.end(), u32{0});
     // The stamp clock restarts with the stamps, so wrap of the u32
-    // clock would need 2^32 touches in ONE replay (unreachable; the
-    // analyzer's PlanBounds pass proves it per plan) rather than
-    // across a Machine's whole lifetime (reachable in long optimizer
-    // sweeps).
+    // clock would need 2^32 touches in ONE replay (refused per plan by
+    // core::requireLruClockBound) rather than across a Machine's whole
+    // lifetime (reachable in long optimizer sweeps).
     lruClock_ = 0;
     stats_ = CacheStats();
     victimRng_ = Rng(0x5eed); // deterministic runs

@@ -191,9 +191,7 @@ class Cache
     }
 
     /**
-     * @{ Split-tag representation constants, public so the static
-     * soundness analyzer (src/analyze) re-derives the invariant the
-     * kernel assumes from the same values the kernel uses.
+     * @{ Split-tag representation constants.
      *
      * kTagBits is the total stored tag width (the split u32 lo /
      * u16 hi pair). kNoTag is the invalid-way sentinel: all-ones in

@@ -11,6 +11,16 @@
 namespace interf::core
 {
 
+// Every address the caches see lies below kStackBase: code and data
+// are placed under it, and the page map permutes only addresses below
+// 2^(pageBits + permutedVpnBits). So even with 1-byte lines a line
+// number stays below the 48-bit kNoTag sentinel, and the tag compare
+// in a lookup can neither truncate a tag nor hit an invalid way.
+static_assert((Addr{1} << (layout::PageMap::pageBits +
+                           layout::PageMap::permutedVpnBits)) <=
+              layout::kStackBase);
+static_assert(layout::kStackBase <= cache::Cache::kNoTag);
+
 double
 RunResult::cpi() const
 {
@@ -49,6 +59,29 @@ Machine::resetState()
     predictor_->reset();
     btb_.reset();
     ras_.reset();
+}
+
+void
+requireLruClockBound(const MachineConfig &machine,
+                     const trace::ReplayPlan &plan)
+{
+    const u32 line = machine.hierarchy.l1i.lineBytes;
+    u64 fetch_lines = 0;
+    for (u32 b : plan.bytes)
+        fetch_lines += b / line + 1;
+    const u64 mem = plan.memCount();
+    auto check = [&](const cache::CacheConfig &cfg, u64 advance) {
+        if (cfg.replacement == cache::Replacement::Lru &&
+            advance >= (u64{1} << 32))
+            fatal("machine '%s': one replay of this plan can advance "
+                  "the %s u32 LRU stamp clock %llu times (>= 2^32); "
+                  "stamps could wrap and invert victim choice",
+                  machine.name.c_str(), cfg.name.c_str(),
+                  static_cast<unsigned long long>(advance));
+    };
+    check(machine.hierarchy.l1i, 2 * fetch_lines);
+    check(machine.hierarchy.l1d, mem);
+    check(machine.hierarchy.l2, 2 * fetch_lines + mem);
 }
 
 RunResult

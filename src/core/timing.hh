@@ -151,6 +151,20 @@ class Machine
     bpred::ReturnAddressStack ras_;
 };
 
+/**
+ * Refuse, with fatal() in every build type, a plan whose one replay
+ * could wrap an LRU cache's u32 stamp clock. Machine restarts the
+ * clock at every reset, so the bound is per replay: at most
+ * 2 * fetchLines advances for the L1I (demand touch + next-line
+ * prefetch install), memCount for the L1D, and their sum for the L2,
+ * where fetchLines sums bytes / line + 1 over the plan's events (a
+ * block spans at most that many L1I lines wherever it is placed).
+ * Random-replacement caches keep no stamps and are exempt. @p machine
+ * must pass MachineConfig::validate().
+ */
+void requireLruClockBound(const MachineConfig &machine,
+                          const trace::ReplayPlan &plan);
+
 } // namespace interf::core
 
 #endif // INTERF_CORE_TIMING_HH

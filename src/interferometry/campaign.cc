@@ -10,7 +10,6 @@
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_ctx.hh"
-#include "analyze/analyze.hh"
 #include "util/digest.hh"
 #include "util/logging.hh"
 #include "verify/verify.hh"
@@ -25,13 +24,7 @@ Campaign::Campaign(const workloads::WorkloadProfile &profile,
       cfg_(config),
       program_(workloads::buildProgram(profile)),
       linker_(),
-      // Fail closed, in every build type, before the runner builds its
-      // Machine: a geometry that breaks a representation invariant
-      // dies here with the analyzer's typed diagnostics rather than in
-      // a Cache/Btb constructor, or silently in the replay kernel.
-      runner_(analyze::requireSoundMachine(config.machine, nullptr,
-                                           "Campaign machine config"),
-              config.runner)
+      runner_(config.machine, config.runner)
 {
     startNs_ = telemetry::nowNs();
     phaseBase_ = telemetry::phaseStats();
@@ -58,11 +51,7 @@ Campaign::Campaign(const workloads::WorkloadProfile &profile,
     // plan through flat per-layout address tables (the ReplayPlan
     // constructor records the "plan.compile" span itself).
     plan_ = trace::ReplayPlan(program_, trace_);
-    // Now that the plan exists, prove the LRU stamp clocks cannot wrap
-    // within one replay of it (PlanBounds). The static analysis is a
-    // few hundred comparisons per campaign.
-    analyze::requireSoundMachine(cfg_.machine, &plan_,
-                                 "Campaign machine config");
+    core::requireLruClockBound(cfg_.machine, plan_);
     campaignKey_ =
         store::campaignKey(program_, profile_.behaviourSeed, cfg_);
 }

@@ -33,9 +33,7 @@ namespace interf::layout
  * address the layout engines can produce lies in [kGlobalBase,
  * kStackBase): globals pack upward from kGlobalBase, heap arenas from
  * kHeapBase, and stack regions grow downward from just below
- * kStackBase. Exposed so the static soundness analyzer (src/analyze)
- * can bound the reachable address space from the same constants the
- * placement code uses.
+ * kStackBase.
  */
 inline constexpr Addr kGlobalBase = 0x00600000;
 inline constexpr Addr kHeapBase = 0x10000000;

@@ -27,9 +27,7 @@
 namespace interf::layout
 {
 
-/** Default text-segment base: a Linux x86_64 non-PIE executable.
- *  Named so the static soundness analyzer can reason about text
- *  extents with the same anchor the Linker links against. */
+/** Default text-segment base: a Linux x86_64 non-PIE executable. */
 inline constexpr Addr kDefaultTextBase = 0x400000;
 
 /** Reproducible recipe for one code layout. */

@@ -52,9 +52,8 @@ class PageMap
     /**
      * The Feistel permutation covers this many page-number bits;
      * addresses at or above 1 << (pageBits + permutedVpnBits) pass
-     * through translate() unchanged. The soundness analyzer uses this
-     * to bound the post-translation address space: translate() can
-     * lift a low address to at most that ceiling, never beyond.
+     * through translate() unchanged, so translate() can lift a low
+     * address to at most that ceiling, never beyond.
      */
     static constexpr u32 permutedVpnBits = 32;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analyze/analyze.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/span.hh"
 #include "telemetry/trace_ctx.hh"
@@ -88,11 +87,7 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
       cfg_(cfg),
       program_(workloads::buildProgram(profile)),
       linker_(),
-      // Fail closed (every build type) before the runner builds its
-      // Machine. See analyze::requireSoundMachine.
-      runner_(analyze::requireSoundMachine(cfg.machine, nullptr,
-                                           "Optimizer machine config"),
-              cfg.runner)
+      runner_(cfg.machine, cfg.runner)
 {
     {
         INTERF_SPAN("trace.generate");
@@ -108,10 +103,7 @@ FitnessOracle::FitnessOracle(const workloads::WorkloadProfile &profile,
                              "Optimizer trace");
     }
     plan_ = trace::ReplayPlan(program_, trace_);
-    // The plan-bound half of the check: no LRU stamp clock may wrap
-    // within one replay of this plan.
-    analyze::requireSoundMachine(cfg_.machine, &plan_,
-                                 "Optimizer machine config");
+    core::requireLruClockBound(cfg_.machine, plan_);
     baseKey_ = store::fitnessBaseKey(
         program_, profile_.behaviourSeed, cfg_.instructionBudget,
         cfg_.physicalPages, cfg_.pageSeed, cfg_.randomizeHeap,

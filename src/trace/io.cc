@@ -1,8 +1,10 @@
 #include "trace/io.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "util/digest.hh"
 #include "util/logging.hh"
@@ -30,6 +32,31 @@ void
 readPod(std::istream &is, T &value)
 {
     is.read(reinterpret_cast<char *>(&value), sizeof(T));
+}
+
+/**
+ * Read @p count PODs into @p out a bounded chunk at a time, so memory
+ * grows only with data that actually arrives: a corrupted count on a
+ * stream of unknown size ends in a short read, not a huge allocation.
+ * Returns false on a short read.
+ */
+template <typename T>
+bool
+readArray(std::istream &is, u64 count, std::vector<T> &out)
+{
+    constexpr u64 kChunk = (u64{1} << 20) / sizeof(T);
+    out.clear();
+    while (out.size() < count) {
+        const size_t have = out.size();
+        const size_t take = static_cast<size_t>(
+            std::min<u64>(count - have, kChunk));
+        out.resize(have + take);
+        is.read(reinterpret_cast<char *>(out.data() + have),
+                static_cast<std::streamsize>(take * sizeof(T)));
+        if (!is)
+            return false;
+    }
+    return true;
 }
 
 } // anonymous namespace
@@ -185,10 +212,11 @@ tryLoadTrace(std::istream &is, const Program &prog, Trace &trace,
         return false;
     }
 
-    // Bound the allocations against what the stream can actually hold,
-    // so a corrupted count fails as "truncated" instead of trying to
-    // resize to exabytes. Seekable streams only; pipes skip the bound
-    // and rely on the read check below.
+    // Bound the counts against what the stream can actually hold, so a
+    // corrupted count fails as "truncated" before any allocation.
+    // Seekable streams only; on a pipe, readArray's chunked reads keep
+    // memory proportional to the bytes that arrive.
+    bool size_known = false;
     const auto body_start = is.tellg();
     if (body_start != std::istream::pos_type(-1)) {
         is.seekg(0, std::ios::end);
@@ -204,19 +232,19 @@ tryLoadTrace(std::istream &is, const Program &prog, Trace &trace,
                         "overrun the stream)";
                 return false;
             }
+            size_known = true;
         } else {
             is.clear();
             is.seekg(body_start);
         }
     }
 
-    trace.events.resize(n_events);
-    trace.memIds.resize(n_mem);
-    is.read(reinterpret_cast<char *>(trace.events.data()),
-            static_cast<std::streamsize>(n_events * sizeof(BlockEvent)));
-    is.read(reinterpret_cast<char *>(trace.memIds.data()),
-            static_cast<std::streamsize>(n_mem * sizeof(u64)));
-    if (!is) {
+    if (size_known) {
+        trace.events.reserve(n_events);
+        trace.memIds.reserve(n_mem);
+    }
+    if (!readArray(is, n_events, trace.events) ||
+        !readArray(is, n_mem, trace.memIds)) {
         error = "truncated trace body";
         return false;
     }

@@ -16,11 +16,16 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
 
     // Site table: dense proc-major block numbering.
     procFirstSite.resize(procs.size());
-    u32 site_cursor = 0;
+    u64 site_cursor = 0;
     for (const auto &p : procs) {
-        procFirstSite[p.id] = site_cursor;
-        site_cursor += static_cast<u32>(p.blocks.size());
+        procFirstSite[p.id] = static_cast<u32>(site_cursor);
+        site_cursor += p.blocks.size();
     }
+    // Site ids are u32 and share their space with the kNoSite sentinel.
+    if (site_cursor >= kNoSite)
+        fatal("program has %llu block sites; u32 site ids must stay "
+              "below the kNoSite sentinel",
+              static_cast<unsigned long long>(site_cursor));
     siteProc.resize(site_cursor);
     siteBlock.resize(site_cursor);
     siteBytes.resize(site_cursor);
@@ -59,6 +64,11 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
             memUniverse.push_back(memId[j]);
         memRank[j] = it->second;
     }
+    // Every rank must fit the u32 memRank it was narrowed into.
+    if (memUniverse.size() > size_t{~u32{0}})
+        fatal("trace has %zu distinct memory ids; u32 memory ranks "
+              "cannot index them",
+              memUniverse.size());
     condSite.reserve(trace.condBranches);
     condTaken.reserve(trace.condBranches);
 

@@ -49,10 +49,6 @@ entityKindName(EntityKind k)
         return "manifest";
       case EntityKind::Batch:
         return "batch";
-      case EntityKind::Cache:
-        return "cache";
-      case EntityKind::Btb:
-        return "btb";
     }
     return "unknown";
 }

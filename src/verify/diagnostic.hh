@@ -50,8 +50,6 @@ enum class EntityKind : u8 {
     Page,      ///< Layout: a virtual page number.
     Manifest,  ///< Store: the manifest (index = batch-table slot).
     Batch,     ///< Store: a batch file (index = first layout).
-    Cache,     ///< Machine: a cache level (0 = L1I, 1 = L1D, 2 = L2).
-    Btb,       ///< Machine: the branch target buffer (index = 0).
 };
 
 const char *severityName(Severity s);

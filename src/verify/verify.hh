@@ -44,10 +44,6 @@
 
 #include "util/types.hh"
 
-namespace interf::core
-{
-struct MachineConfig;
-}
 namespace interf::layout
 {
 class CodeLayout;
@@ -76,19 +72,6 @@ struct Artifacts
     const trace::ReplayPlan *plan = nullptr;
     const layout::CodeLayout *codeLayout = nullptr;
     const layout::PageMap *pageMap = nullptr;
-
-    /** Machine geometry for the src/analyze soundness passes. */
-    const core::MachineConfig *machine = nullptr;
-
-    /**
-     * @{ Address-space overrides for the soundness passes (0 = derive
-     * from the engine's layout constants / the bound program). The
-     * ceilings are exclusive upper bounds on, respectively, any
-     * cache-indexed (post-page-map) address and any branch PC.
-     */
-    Addr lineAddrCeiling = 0;
-    Addr codeAddrCeiling = 0;
-    /** @} */
 
     /** Store entry to verify: root directory + campaign key. */
     std::string storeRoot;

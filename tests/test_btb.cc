@@ -143,4 +143,14 @@ TEST(BtbDeathTest, BadGeometryIsFatal)
                 "exceeds 32");
 }
 
+TEST(BtbDeathTest, PcPastTagWidthPanics)
+{
+    // Tags are full u32 PCs; every install checks the truncation is
+    // lossless, in every build type.
+    Btb btb(64, 4);
+    btb.update((Addr{1} << 32) - 2, 0x1000);
+    EXPECT_TRUE(btb.lookup((Addr{1} << 32) - 2).hit);
+    EXPECT_DEATH(btb.update(Addr{1} << 32, 0x1000), "== pc");
+}
+
 } // anonymous namespace

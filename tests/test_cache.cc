@@ -52,6 +52,17 @@ TEST(CacheConfigDeathTest, NonPowerOfTwoSetsNamesTheAliasing)
                 "silently alias sets");
 }
 
+TEST(CacheDeathTest, LineNumberPastSplitTagPanics)
+{
+    // Line numbers must stay below the 48-bit all-ones kNoTag
+    // sentinel; every install checks it, in every build type.
+    Cache cache(smallConfig());
+    EXPECT_FALSE(cache.access((Cache::kNoTag - 1) << 6));
+    const Addr past = Addr{1} << (Cache::kTagBits + 6); // 64-byte lines
+    EXPECT_DEATH(cache.access(past), "tag < kNoTag");
+    EXPECT_DEATH(cache.install(past), "tag < kNoTag");
+}
+
 TEST(Cache, ColdMissThenHit)
 {
     Cache cache(smallConfig());

@@ -452,6 +452,16 @@ TEST(CampaignStore, PartiallyCachedRunBuildsTablesOnlyForUnmeasured)
     EXPECT_EQ(built, 3u);
 }
 
+TEST(CampaignDeathTest, RefusesUnsoundMachine)
+{
+    // 64 BTB ways overflow the u8 per-set ages and the u32 way mask.
+    CampaignConfig cfg = quickConfig();
+    cfg.machine.btbWays = 64;
+    EXPECT_EXIT(Campaign(workloads::defaultProfile("unsound"), cfg),
+                ::testing::ExitedWithCode(1),
+                "btb: associativity 64 exceeds 32");
+}
+
 TEST(Campaign, TraceSharedAcrossLayouts)
 {
     Campaign camp(workloads::defaultProfile("camp"), quickConfig());

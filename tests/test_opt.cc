@@ -79,6 +79,16 @@ runSearch(const workloads::WorkloadProfile &profile, const OptConfig &cfg)
     return makeOptimizer(oracle, cfg)->run();
 }
 
+TEST(OptDeathTest, FitnessOracleRefusesUnsoundMachine)
+{
+    // 64 BTB ways overflow the u8 per-set ages and the u32 way mask.
+    OptConfig cfg = quickSearch(Strategy::Greedy, 1);
+    cfg.machine.btbWays = 64;
+    EXPECT_EXIT(FitnessOracle(workloads::defaultProfile("unsound"), cfg),
+                ::testing::ExitedWithCode(1),
+                "btb: associativity 64 exceeds 32");
+}
+
 // ---------------------------------------------------------------------
 // Neighborhood property tests: every move kind, across >= 5 profiles
 // x 16 seeds, yields a layout the LayoutVerifier passes clean.

@@ -1,6 +1,8 @@
 /** @file Tests for the machine timing model — the properties program
  *  interferometry depends on. */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/timing.hh"
@@ -252,6 +254,103 @@ TEST(TimingDeathTest, InvalidConfigIsFatal)
     auto cfg = MachineConfig::xeonE5440();
     cfg.width = 0;
     EXPECT_EXIT(Machine{cfg}, ::testing::ExitedWithCode(1), "width");
+}
+
+/** A hand-built plan whose events span @p fetch_lines L1I lines under
+ *  the bytes / line + 1 bound, in blocks of at most 2^26 lines (the
+ *  widest a u32 byte count allows), plus @p mem data accesses. */
+trace::ReplayPlan
+clockPlan(u64 fetch_lines, size_t mem)
+{
+    const u32 line = MachineConfig::xeonE5440().hierarchy.l1i.lineBytes;
+    trace::ReplayPlan plan;
+    while (fetch_lines > 0) {
+        const u64 lines = std::min(fetch_lines, u64{1} << 26);
+        plan.bytes.push_back(static_cast<u32>(line * (lines - 1)));
+        fetch_lines -= lines;
+    }
+    plan.memId.assign(mem, 0);
+    return plan;
+}
+
+TEST(LruClockBoundDeathTest, StampWrapSeam)
+{
+    // 2^31 - 1 fetch lines bound the L1I at 2^32 - 2, and each data
+    // access lifts the L2's bound (2 * fetchLines + memCount) by one.
+    const auto machine = MachineConfig::xeonE5440();
+    const u64 lines = (u64{1} << 31) - 1;
+
+    // One below the wrap is safe.
+    requireLruClockBound(machine, clockPlan(lines, 1));
+    // At the wrap, only the L2 trips.
+    EXPECT_EXIT(requireLruClockBound(machine, clockPlan(lines, 2)),
+                ::testing::ExitedWithCode(1),
+                "the L2 u32 LRU stamp clock 4294967296 times");
+
+    // Random-replacement caches keep no stamps: any advance is fine.
+    auto random = machine;
+    random.hierarchy.l1i.replacement = cache::Replacement::Random;
+    random.hierarchy.l2.replacement = cache::Replacement::Random;
+    requireLruClockBound(random, clockPlan(lines, 2));
+    requireLruClockBound(random, clockPlan(u64{1} << 32, 2));
+}
+
+// The two plan-bound tests below keep the names they had when the
+// stamp-clock bound was a pass of the static soundness analyzer.
+
+TEST(Analyze, PlanWithWrappingAdvanceBoundRejected)
+{
+    // 70 events of ~4 GiB of code each bound ~4.7e9 fetch lines: the
+    // L1I, checked first, overflows its clock within one replay.
+    const auto machine = MachineConfig::xeonE5440();
+    trace::ReplayPlan huge;
+    huge.bytes.assign(70, 0xfff00000u);
+    EXPECT_EXIT(requireLruClockBound(machine, huge),
+                ::testing::ExitedWithCode(1),
+                "the L1I u32 LRU stamp clock [0-9]+ times");
+
+    // A block's partial tail line counts: 32 blocks of 2^26 - 1 full
+    // lines plus line - 1 bytes bound 2^31 fetch lines, taking the L1I
+    // to exactly 2^32 with no data access at all.
+    const u32 line = machine.hierarchy.l1i.lineBytes;
+    trace::ReplayPlan plan;
+    plan.bytes.assign(32, line * ((u32{1} << 26) - 1) + (line - 1));
+    EXPECT_EXIT(requireLruClockBound(machine, plan),
+                ::testing::ExitedWithCode(1),
+                "the L1I u32 LRU stamp clock 4294967296 times");
+}
+
+TEST(Analyze, AdvanceBoundsFollowPlanCounts)
+{
+    // Pad a compiled plan's code up to one below the L2's wrap, then
+    // reach the wrap with data accesses alone. The seam lands exactly
+    // only if the bound counts bytes / line + 1 lines per event and
+    // one advance per data access of the plan.
+    const Bench bench(workloads::specFor("429.mcf").profile, 20000);
+    const trace::ReplayPlan compiled(bench.prog, bench.trace);
+    const auto machine = MachineConfig::xeonE5440();
+    const u32 line = machine.hierarchy.l1i.lineBytes;
+
+    u64 fetch = 0;
+    for (u32 b : compiled.bytes)
+        fetch += b / line + 1;
+    const u64 mem = compiled.memCount();
+    ASSERT_GT(fetch, 0u);
+    ASSERT_GT(mem, 0u);
+
+    const u64 wrap = u64{1} << 32;
+    const u64 pad = (wrap - 1 - mem) / 2 - fetch;
+    trace::ReplayPlan plan = compiled;
+    const auto padding = clockPlan(pad, 0).bytes;
+    plan.bytes.insert(plan.bytes.end(), padding.begin(), padding.end());
+    const u64 l2 = 2 * (fetch + pad) + mem;
+    ASSERT_TRUE(l2 == wrap - 1 || l2 == wrap - 2);
+    requireLruClockBound(machine, plan);
+
+    plan.memId.resize(plan.memId.size() + (wrap - l2), 0);
+    EXPECT_EXIT(requireLruClockBound(machine, plan),
+                ::testing::ExitedWithCode(1),
+                "the L2 u32 LRU stamp clock 4294967296 times");
 }
 
 } // anonymous namespace
