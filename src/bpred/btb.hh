@@ -12,7 +12,7 @@
  * which is part of why the paper's branch-only r^2 averages 27%.
  *
  * Tags are stored once as u32 (branch PCs are text-segment addresses,
- * far below 2^32 — installs assert it), targets are full addresses,
+ * which the linker keeps below 2^32 - 1), targets are full addresses,
  * and recency is a u8 age per way against a u8 per-set clock (free at
  * BTB touch rates; see touchLru). reset() clears eagerly.
  */
@@ -46,6 +46,15 @@ struct BtbResult
 class Btb
 {
   public:
+    /**
+     * Tag of an invalid way. Branch PCs are text addresses, which
+     * layout::Linker keeps below layout::kMaxTextEnd <= kNoTag (a
+     * static_assert in core/timing.cc), so a lookup's u32 tag compare
+     * neither truncates a PC nor meets the sentinel; installs also
+     * assert the tag round-trips.
+     */
+    static constexpr u32 kNoTag = ~u32{0};
+
     /**
      * @param sets Number of sets (power of two).
      * @param ways Associativity (1..32).
@@ -134,13 +143,6 @@ class Btb
         touchLru(base, set, victim);
         return {};
     }
-
-    /**
-     * Tag of an invalid way; branch PCs are text-segment code
-     * addresses far below the all-ones value (installs assert the u32
-     * tag round-trips), so the sentinel can never collide.
-     */
-    static constexpr u32 kNoTag = ~u32{0};
 
     u32 setIndex(Addr pc) const
     {

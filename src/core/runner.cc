@@ -76,8 +76,17 @@ MeasurementRunner::measureWithTruth(const trace::ReplayPlan &plan,
     return protocol(machine_.replay(plan, tables), noise_seed);
 }
 
+RunResult
+MeasurementRunner::replay(const trace::ReplayPlan &plan,
+                          const trace::LayoutTables &tables)
+{
+    INTERF_SPAN("runner.replay");
+    return machine_.replay(plan, tables);
+}
+
 MeasuredRun
-MeasurementRunner::protocol(RunResult truth_in, u64 noise_seed)
+MeasurementRunner::protocol(const RunResult &truth_in,
+                            u64 noise_seed) const
 {
     MeasuredRun out;
     out.truth = truth_in;

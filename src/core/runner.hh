@@ -131,9 +131,21 @@ class MeasurementRunner
                                  u64 noise_seed);
     /** @} */
 
-  private:
+    /**
+     * @{ The two halves of plan-based measurement:
+     * measureWithTruth(plan, tables, seed) is
+     * protocol(replay(plan, tables), seed). A caller that already holds
+     * a layout's noise-free truth (opt::FitnessOracle's replay-
+     * equivalence memo) runs only the protocol.
+     */
+    RunResult replay(const trace::ReplayPlan &plan,
+                     const trace::LayoutTables &tables);
+
     /** The three-group median-of-five protocol over one truth run. */
-    MeasuredRun protocol(RunResult truth, u64 noise_seed);
+    MeasuredRun protocol(const RunResult &truth, u64 noise_seed) const;
+    /** @} */
+
+  private:
 
     Machine machine_;
     RunnerConfig cfg_;

@@ -20,6 +20,10 @@ static_assert((Addr{1} << (layout::PageMap::pageBits +
                            layout::PageMap::permutedVpnBits)) <=
               layout::kStackBase);
 static_assert(layout::kStackBase <= cache::Cache::kNoTag);
+// Branch PCs are text addresses, which Linker::link keeps below
+// kMaxTextEnd, so the BTB's u32 tag compare can neither truncate a PC
+// nor meet the all-ones sentinel.
+static_assert(layout::kMaxTextEnd <= bpred::Btb::kNoTag);
 
 double
 RunResult::cpi() const

@@ -175,6 +175,11 @@ Linker::link(const trace::Program &prog, const LayoutSpec &spec) const
         out.procBase_[pid] = cursor;
         cursor += p.bytes();
     }
+    if (cursor > kMaxTextEnd)
+        fatal("linked text ends at %#llx, above %#llx: branch PCs must "
+              "fit the BTB's u32 tags",
+              static_cast<unsigned long long>(cursor),
+              static_cast<unsigned long long>(kMaxTextEnd));
     out.textSize_ = cursor - textBase_;
     return out;
 }

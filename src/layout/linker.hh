@@ -30,6 +30,13 @@ namespace interf::layout
 /** Default text-segment base: a Linux x86_64 non-PIE executable. */
 inline constexpr Addr kDefaultTextBase = 0x400000;
 
+/**
+ * Highest end (one past the last byte) a linked text segment may have.
+ * The BTB keeps u32 full-PC tags, so every branch PC must stay below
+ * 2^32 - 1, its all-ones sentinel; Linker::link fails closed past it.
+ */
+inline constexpr Addr kMaxTextEnd = (Addr{1} << 32) - 1;
+
 /** Reproducible recipe for one code layout. */
 struct LayoutKey
 {
@@ -140,6 +147,7 @@ class Linker
     /**
      * Link the program under an explicit permutation. The spec must
      * validate() against the program (asserted in Debug builds).
+     * fatal() if the text would end above kMaxTextEnd.
      */
     CodeLayout link(const trace::Program &prog,
                     const LayoutSpec &spec) const;

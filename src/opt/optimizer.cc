@@ -132,30 +132,48 @@ FitnessOracle::seededCandidate(u64 layout_seed) const
     return cand;
 }
 
-core::Measurement
-FitnessOracle::measureOne(core::MeasurementRunner &runner,
-                          const CandidateLayout &cand, u64 digest) const
+FitnessOracle::ReplayImage
+FitnessOracle::replayImage(const layout::CodeLayout &code,
+                           u64 heap_seed) const
 {
-    // Attribute this candidate's spans to its content digest (base key
-    // / batch ordinal are already on the thread's context).
-    telemetry::ScopedCandidateDigest candidate(digest);
-    // Trust boundary: Neighborhood moves construct these specs by
-    // permutation editing, so they should be well-formed permutations
-    // by construction — prove it before the linker trusts them.
-    if (verify::verifyOnTrust())
-        cand.code.validate(program_);
+    ReplayImage image;
+    image.reserve(2 * plan_.visibleSites.size() + 1);
+    for (u32 s : plan_.visibleSites) {
+        const u32 proc = plan_.siteProc[s];
+        const u32 block = plan_.siteBlock[s];
+        image.push_back(code.blockAddr(proc, block));
+        image.push_back(code.branchAddr(proc, block));
+    }
+    // The heap seed only places data when the heap is randomized.
+    image.push_back(cfg_.randomizeHeap ? heap_seed : 0);
+    return image;
+}
+
+size_t
+FitnessOracle::ImageHash::operator()(const ReplayImage &image) const
+{
+    Digest d;
+    for (Addr a : image)
+        d.mix(a);
+    return static_cast<size_t>(d.value());
+}
+
+core::RunResult
+FitnessOracle::replayOne(core::MeasurementRunner &runner,
+                         const layout::CodeLayout &code,
+                         u64 heap_seed) const
+{
     trace::LayoutTables tables = [&] {
         INTERF_SPAN("layout.gen");
-        layout::CodeLayout code = linker_.link(program_, cand.code);
         layout::HeapKey heap_key;
         heap_key.randomize = cfg_.randomizeHeap;
-        heap_key.seed = cand.heapSeed;
+        heap_key.seed = heap_seed;
         layout::HeapLayout heap(program_, heap_key);
         return trace::LayoutTables(plan_, code, heap, pageMap(),
                                    cfg_.machine.hierarchy.l1i.lineBytes);
     }();
     INTERF_TELEM_COUNT("layout.tables_built", 1);
-    return runner.measure(plan_, tables, digest);
+    return runner.replay(plan_, tables);
 }
 
 void
@@ -222,18 +240,48 @@ FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
         first_at.emplace(d, i);
         fresh.push_back(i);
     }
-    INTERF_TELEM_COUNT("opt.evals_cached", count - fresh.size());
-    INTERF_TELEM_COUNT("opt.evals_fresh", fresh.size());
-    if (count > fresh.size())
-        tick(count - fresh.size(), count - fresh.size(), 0);
 
-    if (!fresh.empty()) {
-        const u32 n = static_cast<u32>(fresh.size());
-        // Each candidate's noise seed is its digest, so scheduling
-        // cannot change a byte of out.
+    // Link the remaining candidates serially (so the grouping below
+    // cannot depend on jobs) and group them by replay image: only the
+    // first candidate of an image never seen before is replayed; the
+    // rest share its truth.
+    std::vector<core::RunResult *> truth(count, nullptr);
+    std::vector<std::pair<u32, layout::CodeLayout>> replays;
+    for (u32 i : fresh) {
+        // Attribute this candidate's spans to its content digest (base
+        // key / batch ordinal are already on the thread's context).
+        telemetry::ScopedCandidateDigest candidate(digests[i]);
+        // Trust boundary: Neighborhood moves construct these specs by
+        // permutation editing, so they should be well-formed
+        // permutations by construction — prove it before the linker
+        // trusts them.
+        if (verify::verifyOnTrust())
+            cands[i].code.validate(program_);
+        layout::CodeLayout code = [&] {
+            INTERF_SPAN("layout.gen");
+            return linker_.link(program_, cands[i].code);
+        }();
+        auto [it, unseen] = truths_.try_emplace(
+            replayImage(code, cands[i].heapSeed));
+        truth[i] = &it->second;
+        if (unseen)
+            replays.emplace_back(i, std::move(code));
+    }
+    const u32 n = static_cast<u32>(replays.size());
+    cachedEvals_ += fresh.size() - n;
+    INTERF_TELEM_COUNT("opt.evals_cached", count - n);
+    INTERF_TELEM_COUNT("opt.evals_equivalent", fresh.size() - n);
+    INTERF_TELEM_COUNT("opt.evals_fresh", n);
+    if (count > n)
+        tick(count - n, count - n, 0);
+
+    if (n > 0) {
+        // Workers write disjoint truths_ nodes; the map is not
+        // modified until they have joined.
         auto run_one = [&](core::MeasurementRunner &runner, u32 k) {
-            const u32 i = fresh[k];
-            out[i] = measureOne(runner, cands[i], digests[i]);
+            const auto &[i, code] = replays[k];
+            telemetry::ScopedCandidateDigest candidate(digests[i]);
+            *truth[i] = replayOne(runner, code, cands[i].heapSeed);
             tick(1, 0, 1);
         };
         const u32 jobs = exec::ThreadPool::resolveJobs(cfg_.jobs);
@@ -254,11 +302,14 @@ FitnessOracle::evaluate(const std::vector<CandidateLayout> &cands)
                 });
         }
         freshEvals_ += n;
-        for (u32 i : fresh) {
-            memo_.emplace(digests[i], out[i]);
-            if (store_)
-                store_->save(digests[i], out[i]);
-        }
+    }
+    // Each candidate's noise seed is its digest, so neither scheduling
+    // nor sharing a truth can change a byte of out.
+    for (u32 i : fresh) {
+        out[i] = runner_.protocol(*truth[i], digests[i]).sample;
+        memo_.emplace(digests[i], out[i]);
+        if (store_)
+            store_->save(digests[i], out[i]);
     }
     for (auto [i, src] : dups)
         out[i] = out[src];

@@ -16,7 +16,10 @@
  * seed is its content digest, so its fitness is identical no matter
  * when or on which worker it is measured; and
  * fitness caching (in-memory memo + store::FitnessStore) can therefore
- * never change a result, only skip a measurement. Consequently the
+ * never change a result, only skip a measurement. Likewise a candidate
+ * whose replay-visible addresses equal an already-replayed one's
+ * reuses that noise-free truth and runs only the counter protocol
+ * under its own digest. Consequently the
  * SearchTrajectory is byte-identical across reruns for a fixed seed at
  * any --jobs and cold or warm store — which the
  * determinism tests assert literally (tests/test_opt.cc).
@@ -139,24 +142,35 @@ struct OptResult
     CandidateLayout best;
     core::Measurement bestSample; ///< best's cached-or-fresh measurement.
     SearchTrajectory trajectory;
-    u64 freshEvals = 0;  ///< Measured by replay during this run.
-    u64 cachedEvals = 0; ///< Served from memo or FitnessStore.
+    u64 freshEvals = 0; ///< Replays run during this run.
+    /** Served without a replay: measurement memo, store, or a
+     *  replay-equivalent candidate's truth. */
+    u64 cachedEvals = 0;
 };
 
 /**
  * Measurement backend of the search: owns the program, trace and
  * compiled plan (built once, exactly like a Campaign) plus the fitness
- * memo and optional on-disk cache. evaluate() is the only entry point;
- * it fans fresh candidates out to jobs workers, which cannot change a
- * byte of any result.
+ * memo, the replay-equivalence memo and optional on-disk cache.
+ * evaluate() is the only entry point; it fans replays out to jobs
+ * workers, which cannot change a byte of any result.
  */
 class FitnessOracle
 {
   public:
+    /**
+     * What a linked candidate shows the replay kernel: blockAddr and
+     * branchAddr of every ReplayPlan::visibleSites entry, then the heap
+     * seed when the heap is randomized (0 otherwise). Equal images
+     * replay to equal RunResults.
+     */
+    using ReplayImage = std::vector<Addr>;
+
     FitnessOracle(const workloads::WorkloadProfile &profile,
                   const OptConfig &cfg);
 
     const trace::Program &program() const { return program_; }
+    const trace::ReplayPlan &plan() const { return plan_; }
     const layout::Linker &linker() const { return linker_; }
     const workloads::WorkloadProfile &profile() const { return profile_; }
     const OptConfig &config() const { return cfg_; }
@@ -174,16 +188,25 @@ class FitnessOracle
      *  random-restart and baseline sampling primitive. */
     CandidateLayout seededCandidate(u64 layout_seed) const;
 
+    /** The replay image of @p code under heap seed @p heap_seed. */
+    ReplayImage replayImage(const layout::CodeLayout &code,
+                            u64 heap_seed) const;
+
     /**
      * Measurements for @p cands, element i for candidate i. Each
      * candidate is served from the memo, then the FitnessStore, and
-     * only then measured fresh (and persisted). Duplicate candidates
-     * within one call are measured once.
+     * only then linked: if its replay image matches one already
+     * replayed (this call included), the counter protocol runs over
+     * that truth; otherwise it is replayed. Either way the result is
+     * what MeasurementRunner::measure gives under the candidate's
+     * digest, and it is persisted. Duplicate candidates within one
+     * call are measured once.
      */
     std::vector<core::Measurement>
     evaluate(const std::vector<CandidateLayout> &cands);
 
-    /** @{ Lifetime tallies across evaluate() calls. */
+    /** @{ Lifetime tallies across evaluate() calls: replays run, and
+     *  candidates served without one. */
     u64 freshEvals() const { return freshEvals_; }
     u64 cachedEvals() const { return cachedEvals_; }
     /** @} */
@@ -198,10 +221,15 @@ class FitnessOracle
     void setProgressTracker(telemetry::ProgressTracker *tracker);
 
   private:
-    /** Link, derive and measure @p cand (noise seed @p digest). */
-    core::Measurement measureOne(core::MeasurementRunner &runner,
-                                 const CandidateLayout &cand,
-                                 u64 digest) const;
+    struct ImageHash
+    {
+        size_t operator()(const ReplayImage &image) const;
+    };
+
+    /** Heap and tables for linked @p code, then the noise-free replay. */
+    core::RunResult replayOne(core::MeasurementRunner &runner,
+                              const layout::CodeLayout &code,
+                              u64 heap_seed) const;
 
     layout::PageMap pageMap() const;
 
@@ -215,6 +243,9 @@ class FitnessOracle
     std::unique_ptr<exec::ThreadPool> pool_;
     std::unique_ptr<store::FitnessStore> store_;
     std::unordered_map<u64, core::Measurement> memo_;
+    /** Replay-equivalence memo: the truth of each image replayed so
+     *  far. Keys compare exactly; the hash only picks the bucket. */
+    std::unordered_map<ReplayImage, core::RunResult, ImageHash> truths_;
     u64 baseKey_ = 0;
     u64 freshEvals_ = 0;
     u64 cachedEvals_ = 0;

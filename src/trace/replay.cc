@@ -139,6 +139,29 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
     INTERF_ASSERT(mem_cursor == memId.size());
     instCount = trace.instCount;
 
+    // The sites the replay kernel reads, mirroring its branch logic:
+    // returns read only their successor, other taken redirects their
+    // target and, for calls, the pushed fall-through.
+    std::vector<u8> visible(siteCount(), 0);
+    for (size_t i = 0; i < n; ++i) {
+        visible[site[i]] = 1;
+        const u8 f = flags[i];
+        if (!(f & kHasBranch))
+            continue;
+        if (f & kReturn) {
+            if (returnSite[i] != kNoSite)
+                visible[returnSite[i]] = 1;
+        } else if (f & kTaken) {
+            if (targetSite[i] != kNoSite)
+                visible[targetSite[i]] = 1;
+            if ((f & kCall) && rasPushSite[i] != kNoSite)
+                visible[rasPushSite[i]] = 1;
+        }
+    }
+    for (u32 s = 0; s < visible.size(); ++s)
+        if (visible[s])
+            visibleSites.push_back(s);
+
     // Trust boundary: everything downstream (layout tables, the replay
     // kernel, the campaign cache key) assumes this plan restates the
     // trace exactly. Debug builds / INTERF_VERIFY=1 prove it here.
@@ -155,7 +178,7 @@ ReplayPlan::memoryBytes() const
            memCount() * (sizeof(u64) + sizeof(u8)) +
            condSite.size() * (sizeof(u32) + sizeof(u8)) +
            siteCount() * sizeof(u32) * 2 +
-           procFirstSite.size() * sizeof(u32);
+           (visibleSites.size() + procFirstSite.size()) * sizeof(u32);
 }
 
 void

@@ -115,6 +115,17 @@ class ReplayPlan
     std::vector<u32> procFirstSite; ///< proc id -> its first site id.
     /** @} */
 
+    /**
+     * Every site whose LayoutTables entries (`siteAddr`, `branchAddr`
+     * and the fetch lines derived from `siteAddr`) Machine::replay
+     * reads, ascending: each event's own site, plus the successor of a
+     * return, the target of a taken redirect and the fall-through a
+     * taken call pushes. Two layouts that agree on these sites (and on
+     * data addresses) replay identically. Executed sites alone are not
+     * enough: a pushed fall-through need never execute.
+     */
+    std::vector<u32> visibleSites;
+
     /** Total instructions in the trace (Trace::instCount). */
     u64 instCount = 0;
 

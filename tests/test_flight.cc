@@ -18,6 +18,7 @@
 #include "telemetry/span.hh"
 #include "telemetry/telemetry.hh"
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -227,6 +228,67 @@ TEST(FlightRecorder, TruncatedSealedSegmentIsAnError)
     flight::ReadResult rr;
     ASSERT_TRUE(flight::readDir(dir, rr));
     EXPECT_FALSE(rr.errors.empty());
+    std::filesystem::remove_all(dir);
+}
+
+/** Random byte corruption of a sealed segment never crashes the
+ *  reader: every mutant parses to events, reports an error, or both. */
+TEST(FlightRecorder, SegmentMutationsParseOrReportErrors)
+{
+    TelemetryOn on;
+    const std::string dir = tempDir("mutate");
+    recorder::start(dir);
+    for (int i = 0; i < 4; ++i) {
+        SpanRecord span;
+        span.name = "test.mutate_span";
+        span.startNs = 100 * static_cast<u64>(i);
+        span.wallNs = 50;
+        span.spanId = static_cast<u64>(i) + 1;
+        recorder::recordSpan(span);
+        recorder::recordLog(static_cast<u8>(LogLevel::Inform),
+                            "message " + std::to_string(i));
+    }
+    ProgressEvent pe;
+    pe.task = "test.mutate_progress";
+    pe.done = 1;
+    pe.total = 2;
+    recorder::recordProgress(pe);
+    recorder::stop();
+
+    const std::string sealed = dir + "/flight-000000.bin";
+    const std::string original = readBytes(sealed);
+    ASSERT_GT(original.size(), flight::kSegmentHeaderBytes);
+    // A later, header-only segment makes the mutated one sealed (its
+    // corruption is an error, not a torn tail) and adds no events.
+    {
+        std::ofstream os(dir + "/flight-000001.bin", std::ios::binary);
+        os.write(original.data(), flight::kSegmentHeaderBytes);
+    }
+    flight::ReadResult clean;
+    ASSERT_TRUE(flight::readDir(dir, clean));
+    ASSERT_TRUE(clean.errors.empty());
+    ASSERT_EQ(clean.events.size(), 9u);
+
+    Rng rng(2024);
+    u32 with_errors = 0;
+    for (int iter = 0; iter < 400; ++iter) {
+        std::string bytes = original;
+        const u64 flips = 1 + rng.uniformInt(4);
+        for (u64 k = 0; k < flips; ++k)
+            bytes[rng.uniformInt(bytes.size())] =
+                static_cast<char>(rng.uniformInt(256));
+        {
+            std::ofstream os(sealed, std::ios::binary | std::ios::trunc);
+            os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+        flight::ReadResult rr;
+        ASSERT_TRUE(flight::readDir(dir, rr)) << "iteration " << iter;
+        EXPECT_TRUE(!rr.events.empty() || !rr.errors.empty())
+            << "iteration " << iter;
+        with_errors += rr.errors.empty() ? 0 : 1;
+    }
+    // Most mutants hit a checksummed payload or a length field.
+    EXPECT_GT(with_errors, 200u);
     std::filesystem::remove_all(dir);
 }
 

@@ -164,6 +164,19 @@ TEST(Linker, CustomTextBase)
     EXPECT_GE(layout.procBase(layout.procOrder()[0]), 0x1000000u);
 }
 
+TEST(LinkerDeathTest, TextPastFourGiBIsFatal)
+{
+    // The BTB keeps u32 full-PC tags, so text must end at or below
+    // kMaxTextEnd; a base 4 KiB under 4 GiB cannot fit the program.
+    auto p = prog();
+    Linker linker(0xFFFFF000);
+    EXPECT_EXIT(linker.link(p, LayoutKey::identity()),
+                ::testing::ExitedWithCode(1), "branch PCs must fit");
+    // Text that ends below the bound still links.
+    auto fits = Linker(0x1000000).link(p, LayoutKey::identity());
+    EXPECT_LE(fits.textBase() + fits.textSize(), kMaxTextEnd);
+}
+
 // ---------------------------------------------------------------------
 // LayoutSpec: the explicit-permutation path the optimizer edits.
 // ---------------------------------------------------------------------

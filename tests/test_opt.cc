@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/timing.hh"
+#include "layout/heap.hh"
 #include "opt/neighborhood.hh"
 #include "opt/optimizer.hh"
 #include "store/fitness.hh"
@@ -445,6 +447,109 @@ TEST(OptDeterminism, WarmStoreRerunIsByteIdenticalWithZeroFreshEvals)
     FitnessOracle third(profile, other);
     EXPECT_EQ(third.baseKey(), cold.baseKey());
     std::filesystem::remove_all(root);
+}
+
+// ---------------------------------------------------------------------
+// Replay-equivalence memo: candidates with equal replay images share
+// one noise-free truth and skip the replay.
+// ---------------------------------------------------------------------
+
+void
+expectSameTruth(const core::RunResult &a, const core::RunResult &b)
+{
+    auto fields = [](const core::RunResult &r) {
+        return std::vector<u64>{r.cycles,       r.instructions,
+                                r.condBranches, r.mispredicts,
+                                r.l1iMisses,    r.l1dMisses,
+                                r.l2Misses,     r.l2InstMisses,
+                                r.l2PrefMisses, r.l2DataMisses,
+                                r.btbMisses,    r.rasMispredicts};
+    };
+    EXPECT_EQ(fields(a), fields(b));
+}
+
+TEST(OptOracle, ReplayEquivalentCandidatesShareTruth)
+{
+    const auto profile = workloads::specFor("400.perlbench").profile;
+    OptConfig cfg;
+    cfg.instructionBudget = 100000;
+    FitnessOracle oracle(profile, cfg);
+    const trace::Program &prog = oracle.program();
+    const trace::ReplayPlan &plan = oracle.plan();
+    auto link = [&](const CandidateLayout &c) {
+        return oracle.linker().link(prog, c.code);
+    };
+    auto tables_of = [&](const CandidateLayout &c) {
+        layout::HeapKey hk;
+        hk.randomize = cfg.randomizeHeap;
+        hk.seed = c.heapSeed;
+        return trace::LayoutTables(plan, link(c),
+                                   layout::HeapLayout(prog, hk),
+                                   layout::PageMap(cfg.pageSeed),
+                                   cfg.machine.hierarchy.l1i.lineBytes);
+    };
+
+    // Procedure moves of one parent that change no replay-visible
+    // address (but, being real moves, always change the digest).
+    const CandidateLayout parent = oracle.seededCandidate(3);
+    const auto parent_image = oracle.replayImage(link(parent),
+                                                 parent.heapSeed);
+    Neighborhood nb(prog, cfg.randomizeHeap);
+    Rng rng(5);
+    std::vector<CandidateLayout> equivalent;
+    for (u32 tries = 0; tries < 400 && equivalent.size() < 4; ++tries) {
+        CandidateLayout cand = parent;
+        const Move move = nb.propose(cand, rng);
+        if (move.kind != MoveKind::ProcSwap &&
+            move.kind != MoveKind::ProcReinsert)
+            continue;
+        if (oracle.replayImage(link(cand), cand.heapSeed) == parent_image)
+            equivalent.push_back(cand);
+    }
+    ASSERT_FALSE(equivalent.empty());
+
+    core::Machine machine(cfg.machine);
+    const core::RunResult parent_truth =
+        machine.replay(plan, tables_of(parent));
+    oracle.evaluate({parent});
+    const u64 fresh0 = oracle.freshEvals();
+    const u64 cached0 = oracle.cachedEvals();
+    for (const CandidateLayout &cand : equivalent) {
+        const u64 digest = oracle.digestOf(cand);
+        EXPECT_NE(digest, oracle.digestOf(parent));
+        const trace::LayoutTables tables = tables_of(cand);
+        expectSameTruth(machine.replay(plan, tables), parent_truth);
+        core::MeasurementRunner runner(cfg.machine, cfg.runner);
+        const core::Measurement want = runner.measure(plan, tables, digest);
+        const core::Measurement got = oracle.evaluate({cand})[0];
+        EXPECT_EQ(store::samplesChecksum({got}),
+                  store::samplesChecksum({want}));
+        EXPECT_EQ(got.layoutSeed, digest);
+    }
+    EXPECT_EQ(oracle.freshEvals(), fresh0) << "an equivalent was replayed";
+    EXPECT_EQ(oracle.cachedEvals(), cached0 + equivalent.size());
+}
+
+TEST(OptDeterminism, PerlbenchEquivalenceHitsArePinnedAtAnyJobs)
+{
+    // A greedy perlbench search meets replay-equivalent proposals; the
+    // exact number it serves without a replay is pinned, and jobs can
+    // change neither it nor the trajectory.
+    const auto profile = workloads::specFor("400.perlbench").profile;
+    OptConfig cfg;
+    cfg.instructionBudget = 100000;
+    cfg.budget = 32;
+    cfg.seed = 1;
+    std::string ref_dump;
+    for (u32 jobs : {1u, 4u}) {
+        cfg.jobs = jobs;
+        const OptResult res = runSearch(profile, cfg);
+        EXPECT_EQ(res.freshEvals + res.cachedEvals, cfg.budget);
+        EXPECT_EQ(res.cachedEvals, 5u) << "jobs=" << jobs;
+        if (ref_dump.empty())
+            ref_dump = res.trajectory.dump();
+        EXPECT_EQ(res.trajectory.dump(), ref_dump) << "jobs=" << jobs;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,6 +4,7 @@
  *  campaigns run the dense kernel at all. */
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -255,6 +256,79 @@ TEST(ReplayPlanProperties, LayoutTablesMatchCodeLayout)
                   code.blockAddr(w.plan.siteProc[s], w.plan.siteBlock[s]));
         EXPECT_EQ(tables.branchAddr[s],
                   code.branchAddr(w.plan.siteProc[s], w.plan.siteBlock[s]));
+    }
+}
+
+/** Rebuild @p t's fetch-line table from its (edited) siteAddr, as the
+ *  LayoutTables constructor builds it for a layout's addresses. */
+void
+rebuildLineTable(const ReplayPlan &plan, LayoutTables &t)
+{
+    const u32 line = t.fetchLineBytes();
+    const Addr mask = ~static_cast<Addr>(line - 1);
+    t.siteLineStart.assign(plan.siteCount() + 1, 0);
+    t.linePhys.clear();
+    for (u32 s = 0; s < plan.siteCount(); ++s) {
+        t.siteLineStart[s] = static_cast<u32>(t.linePhys.size());
+        const Addr last = (t.siteAddr[s] + plan.siteBytes[s] - 1) & mask;
+        for (Addr l = t.siteAddr[s] & mask; l <= last; l += line)
+            t.linePhys.push_back(t.pages().translate(l));
+    }
+    t.siteLineStart[plan.siteCount()] =
+        static_cast<u32>(t.linePhys.size());
+}
+
+/** visibleSites is every site whose addresses the replay kernel reads:
+ *  junk at every other site leaves every counter unchanged, with and
+ *  without a page map (and its per-site fetch-line table). */
+TEST(ReplayPlanProperties, VisibleSitesCoverEveryKernelRead)
+{
+    auto cfg = MachineConfig::xeonE5440();
+    for (size_t wi = 0; wi < workloads().size(); ++wi) {
+        const Workload &w = workloads()[wi];
+        const auto &visible = w.plan.visibleSites;
+        ASSERT_TRUE(std::adjacent_find(visible.begin(), visible.end(),
+                                       std::greater_equal<u32>()) ==
+                    visible.end())
+            << "visibleSites must be strictly ascending";
+        std::vector<u8> is_visible(w.plan.siteCount(), 0);
+        for (u32 s : visible)
+            is_visible[s] = 1;
+        for (u32 s : w.plan.site)
+            ASSERT_TRUE(is_visible[s]) << "executed site " << s;
+        // Otherwise there is nothing to overwrite.
+        ASSERT_LT(visible.size(), w.plan.siteCount());
+
+        auto code = codeFor(w, 9);
+        layout::HeapKey hk;
+        hk.seed = 9;
+        hk.randomize = true;
+        layout::HeapLayout heap(w.prog, hk);
+        for (bool physical : {false, true}) {
+            const std::string what = "workload " + std::to_string(wi) +
+                                     (physical ? " physical" : " identity");
+            layout::PageMap pages =
+                physical ? layout::PageMap(41) : layout::PageMap();
+            LayoutTables tables(w.plan, code, heap, pages,
+                                cfg.hierarchy.l1i.lineBytes);
+            Machine machine(cfg);
+            const RunResult ref = machine.replay(w.plan, tables);
+
+            LayoutTables junk = tables;
+            for (u32 s = 0; s < w.plan.siteCount(); ++s) {
+                if (is_visible[s])
+                    continue;
+                // Distinct, line-unaligned, far from the real text.
+                junk.siteAddr[s] = 0xC0000000 + Addr{s} * 0x9e3 + 5;
+                junk.branchAddr[s] = junk.siteAddr[s] + 3;
+            }
+            if (physical) {
+                ASSERT_FALSE(tables.linePhys.empty()) << what;
+                rebuildLineTable(w.plan, junk);
+                ASSERT_NE(junk.linePhys, tables.linePhys) << what;
+            }
+            expectSameResult(ref, machine.replay(w.plan, junk), what);
+        }
     }
 }
 

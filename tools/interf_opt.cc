@@ -59,8 +59,9 @@ improvementPct(u64 initial, u64 final_cycles)
            static_cast<double>(initial);
 }
 
+/** @p res as JSON; @p wall_s is the host wall time it took. */
 Json
-resultJson(const OptResult &res)
+resultJson(const OptResult &res, double wall_s)
 {
     const SearchTrajectory &traj = res.trajectory;
     Json doc = Json::object();
@@ -75,6 +76,11 @@ resultJson(const OptResult &res)
             improvementPct(traj.initialCycles, traj.finalCycles));
     doc.set("evals_fresh", res.freshEvals);
     doc.set("evals_cached", res.cachedEvals);
+    doc.set("evals_per_s",
+            wall_s > 0.0
+                ? static_cast<double>(res.freshEvals + res.cachedEvals) /
+                      wall_s
+                : 0.0);
     doc.set("trajectory_steps", traj.steps.size());
     return doc;
 }
@@ -188,14 +194,19 @@ main(int argc, char **argv)
 
     FitnessOracle oracle(profile, cfg);
     auto optimizer = makeOptimizer(oracle, cfg);
+    const u64 search_ns = telemetry::nowNs();
     OptResult res = optimizer->run();
+    const double search_s = (telemetry::nowNs() - search_ns) / 1e9;
 
     bool have_baseline = baseline_n > 0;
     OptResult base;
+    double base_s = 0.0;
     if (have_baseline) {
         OptConfig base_cfg = cfg;
         base_cfg.budget = baseline_n;
+        const u64 base_ns = telemetry::nowNs();
         base = bestOfRandom(oracle, base_cfg);
+        base_s = (telemetry::nowNs() - base_ns) / 1e9;
     }
 
     const std::string out_path = opts.getString("out");
@@ -236,9 +247,9 @@ main(int argc, char **argv)
         doc.set("schema", "interf-opt-result-1");
         doc.set("schema_version", 1);
         doc.set("benchmark", profile.name);
-        doc.set("optimizer", resultJson(res));
+        doc.set("optimizer", resultJson(res, search_s));
         if (have_baseline) {
-            doc.set("baseline", resultJson(base));
+            doc.set("baseline", resultJson(base, base_s));
             doc.set("beats_baseline", res.bestSample.cycles <
                                           base.bestSample.cycles);
         }
