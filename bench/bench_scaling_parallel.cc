@@ -8,10 +8,9 @@
  * versus the jobs argument: on an N-core machine the figure-scale
  * campaign should scale near-linearly until jobs reaches N, because
  * layouts are embarrassingly parallel and workers share only immutable
- * state. Run with --benchmark_format=json to record google-benchmark's
- * native series, or --json <file> (ours, stripped before
- * benchmark::Initialize sees argv) to write the repo-standard
- * interf-bench-1 report the CI perf job uploads.
+ * state. Run with --benchmark_format=json to record the series;
+ * --telemetry-out <dir> (ours, stripped before benchmark::Initialize
+ * sees argv) also writes the phase trace.
  */
 
 #include <algorithm>
@@ -94,55 +93,7 @@ BM_ParallelForDispatch(benchmark::State &state)
 BENCHMARK(BM_ParallelForDispatch)->Apply(JobsArgs)->UseRealTime();
 
 /**
- * Console reporter that also captures each run as a JsonRow. One item
- * is one layout (SetItemsProcessed), so items_per_second is
- * layouts/sec; the dispatch bench's items are loop indices, which the
- * row's config string spells out.
- */
-class JsonCaptureReporter : public benchmark::ConsoleReporter
-{
-  public:
-    explicit JsonCaptureReporter(bench::JsonReport &report)
-        : report_(report)
-    {
-    }
-
-    void ReportRuns(const std::vector<Run> &runs) override
-    {
-        for (const Run &run : runs) {
-            if (run.error_occurred || run.run_type != Run::RT_Iteration)
-                continue;
-            auto it = run.counters.find("items_per_second");
-            double items = it == run.counters.end()
-                               ? 0.0
-                               : static_cast<double>(it->second);
-            bool layouts =
-                run.benchmark_name().find("CampaignMeasureLayouts") !=
-                std::string::npos;
-            bench::JsonRow row;
-            row.benchmark = "scaling_parallel/" + run.benchmark_name();
-            row.config = layouts ? "item=layout workload=445.gobmk "
-                                   "layouts=40 instructions=300000"
-                                 : "item=index n=1024";
-            row.layoutsPerSec = layouts ? items : 0.0;
-            row.eventsPerSec = 0.0;
-            row.wallMs = run.GetAdjustedRealTime() *
-                         (run.time_unit == benchmark::kMillisecond
-                              ? 1.0
-                              : run.time_unit == benchmark::kSecond
-                                    ? 1e3
-                                    : 1e-6);
-            report_.add(row);
-        }
-        ConsoleReporter::ReportRuns(runs);
-    }
-
-  private:
-    bench::JsonReport &report_;
-};
-
-/**
- * Pull "--json <file>" / "--json=<file>" out of argv before
+ * Pull "<flag> <file>" / "<flag>=<file>" out of argv before
  * benchmark::Initialize (which rejects flags it doesn't know).
  */
 std::string
@@ -170,22 +121,15 @@ extractPathFlag(int &argc, char **argv, const std::string &flag)
 int
 main(int argc, char **argv)
 {
-    std::string json_path = extractPathFlag(argc, argv, "--json");
     std::string telemetry_dir =
         extractPathFlag(argc, argv, "--telemetry-out");
     if (!telemetry_dir.empty())
         telemetry::setOutputDir(telemetry_dir);
-    else if (!json_path.empty())
-        telemetry::enable();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    bench::JsonReport report;
-    JsonCaptureReporter reporter(report);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    if (!json_path.empty())
-        report.write(json_path);
     if (!telemetry_dir.empty() && telemetry::enabled())
         telemetry::writeChromeTrace(telemetry_dir + "/trace.json");
     return 0;

@@ -12,9 +12,9 @@
  *    runReference(), so the optimized structures are verified
  *    bit-for-bit against these independent, obviously-correct models
  *    rather than against themselves;
- *  - bench_micro_replay's "legacy" mode measures the pre-plan
- *    measurement path with the storage layout it actually had, giving
- *    an honest baseline for the replay speedup.
+ *  - perfbench replays a few layouts of each run's first round through
+ *    runReference() too, so a kernel change that moves a counter
+ *    makes the benchmark report correct=false.
  *
  * Nothing here is for hot loops; do not optimize these.
  */

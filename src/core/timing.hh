@@ -118,8 +118,8 @@ class Machine
      * The event-at-a-time reference implementation: walks Program and
      * Trace directly, one block event at a time. This is the
      * executable specification the replay kernel is tested against
-     * (and the pre-plan measurement path benchmarked as "legacy" in
-     * bench_micro_replay); not for hot loops.
+     * (tests/test_replay.cc, perfbench's spot checks); not for hot
+     * loops.
      */
     RunResult runReference(const trace::Program &prog,
                            const trace::Trace &trace,
@@ -132,8 +132,8 @@ class Machine
     /**
      * Microarchitectural hot-state bytes one replay keeps: the
      * hierarchy's tag/stamp arrays, the predictor's counter tables,
-     * the BTB, and the RAS ring (DESIGN.md §5j). The bench reports
-     * it per row.
+     * the BTB, and the RAS ring (DESIGN.md §5j). perfbench reports
+     * it as core.lane_state_kb.
      */
     u64 laneStateBytes() const;
 

@@ -110,19 +110,6 @@ void parallelForChunks(ThreadPool &pool, size_t n,
 void parallelFor(ThreadPool &pool, size_t n,
                  const std::function<void(size_t)> &body);
 
-/**
- * Map [0, n) through fn into a position-indexed vector: out[i] = fn(i),
- * independent of scheduling.
- */
-template <typename T>
-std::vector<T>
-parallelMap(ThreadPool &pool, size_t n, const std::function<T(size_t)> &fn)
-{
-    std::vector<T> out(n);
-    parallelFor(pool, n, [&out, &fn](size_t i) { out[i] = fn(i); });
-    return out;
-}
-
 } // namespace interf::exec
 
 #endif // INTERF_EXEC_THREADPOOL_HH

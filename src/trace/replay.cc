@@ -170,15 +170,28 @@ ReplayPlan::ReplayPlan(const Program &prog, const Trace &trace)
                              "ReplayPlan");
 }
 
+namespace
+{
+
+/** Bytes held by the elements of @p arrays (capacity slack excluded). */
+template <typename... Vectors>
+u64
+elementBytes(const Vectors &...arrays)
+{
+    return (u64{0} + ... +
+            (arrays.size() * sizeof(typename Vectors::value_type)));
+}
+
+} // anonymous namespace
+
 u64
 ReplayPlan::memoryBytes() const
 {
-    u64 per_event = sizeof(u32) * 4 + sizeof(u16) * 2 + sizeof(u8) * 2;
-    return eventCount() * per_event +
-           memCount() * (sizeof(u64) + sizeof(u8)) +
-           condSite.size() * (sizeof(u32) + sizeof(u8)) +
-           siteCount() * sizeof(u32) * 2 +
-           (visibleSites.size() + procFirstSite.size()) * sizeof(u32);
+    return elementBytes(site, bytes, nInsts, extraExecCycles, nMem, flags,
+                        targetSite, rasPushSite, returnSite, memId,
+                        memIsStore, memRank, memUniverse, condSite,
+                        condTaken, siteProc, siteBlock, siteBytes,
+                        procFirstSite, visibleSites);
 }
 
 void

@@ -139,7 +139,7 @@ class ReplayPlan
         return procFirstSite[proc_id] + block_id;
     }
 
-    /** Approximate storage footprint in bytes. */
+    /** Bytes held by every array above: size x element size. */
     u64 memoryBytes() const;
 };
 

@@ -186,6 +186,28 @@ TEST(ReplayPlanProperties, EventAndMemoryCountsMatchTrace)
     }
 }
 
+/** memoryBytes() is the element bytes of every array the plan owns
+ *  (perfbench reports it as trace.plan_mb). */
+TEST(ReplayPlanProperties, MemoryBytesSumsEveryArray)
+{
+    for (const Workload &w : workloads()) {
+        const ReplayPlan &p = w.plan;
+        const u64 per_event = 5 * sizeof(u32) + 2 * sizeof(u16) +
+                              2 * sizeof(u8);
+        const u64 expected =
+            p.eventCount() * per_event +
+            p.memCount() * (sizeof(u64) + sizeof(u8) + sizeof(u32)) +
+            p.memUniverse.size() * sizeof(u64) +
+            p.condSite.size() * (sizeof(u32) + sizeof(u8)) +
+            p.siteCount() * 3 * sizeof(u32) +
+            (p.procFirstSite.size() + p.visibleSites.size()) *
+                sizeof(u32);
+        EXPECT_EQ(p.memoryBytes(), expected);
+        EXPECT_EQ(p.condTaken.size(), p.condSite.size());
+        EXPECT_EQ(p.siteBytes.size(), p.siteCount());
+    }
+}
+
 /** memRank/memUniverse must reconstruct the memId stream exactly, and
  *  the universe must list each distinct id once, in first-appearance
  *  order (the per-layout decode relies on both). */

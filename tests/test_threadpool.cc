@@ -1,5 +1,5 @@
 /** @file Tests for the exec substrate: fixed-size thread pool and the
- *  deterministic parallelFor/parallelMap helpers. */
+ *  deterministic parallelFor/parallelForChunks helpers. */
 
 #include <atomic>
 #include <stdexcept>
@@ -137,16 +137,6 @@ TEST(ThreadPool, UsableAfterException)
     std::atomic<int> done{0};
     parallelFor(pool, 64, [&done](size_t) { done.fetch_add(1); });
     EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPool, ParallelMapPreservesOrder)
-{
-    ThreadPool pool(4);
-    auto squares = parallelMap<u64>(
-        pool, 100, [](size_t i) { return static_cast<u64>(i) * i; });
-    ASSERT_EQ(squares.size(), 100u);
-    for (size_t i = 0; i < squares.size(); ++i)
-        EXPECT_EQ(squares[i], i * i);
 }
 
 TEST(ThreadPool, SingleWorkerRunsInline)

@@ -7,7 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "trace/replay.hh"
 #include "trace/trace.hh"
 #include "util/digest.hh"
+#include "util/random.hh"
 #include "verify/verify.hh"
 #include "workloads/builder.hh"
 #include "workloads/spec.hh"
@@ -812,6 +815,66 @@ TEST(StoreVerifier, RootSweepFindsCorruptEntryAndForeignDir)
     EXPECT_TRUE(hasDiag(r, "store", EntityKind::Artifact, 0,
                         Severity::Warning))
         << render(r);
+}
+
+/** Seeded 1-4 byte mutants of a real entry's manifest and of one of
+ *  its two batch files: a deep check either passes or reports error
+ *  diagnostics from the store pass, each naming its entity, and never
+ *  crashes (the ASan+UBSan preset runs this too). */
+TEST(StoreVerifier, EntryMutationsVerifyCleanOrReportTyped)
+{
+    StoreFixture f;
+    std::string batch1;
+    {
+        store::CampaignStore st(f.root, f.kKey);
+        std::vector<core::Measurement> more(3);
+        for (u32 i = 0; i < more.size(); ++i) {
+            more[i].layoutSeed = 4 + i;
+            more[i].cycles = 2000 + i;
+            more[i].instructions = 1900 + i;
+        }
+        st.appendBatch(4, more);
+        batch1 = st.batchPath(4);
+    }
+    EXPECT_CLEAN(f.check());
+
+    Rng rng(0x5707e);
+    for (const std::string &path : {f.manifest(), batch1}) {
+        std::ifstream is(path, std::ios::binary);
+        const std::string original(std::istreambuf_iterator<char>(is), {});
+        ASSERT_FALSE(original.empty()) << path;
+        u32 diagnosed = 0;
+        for (int iter = 0; iter < 400; ++iter) {
+            std::string bytes = original;
+            const u64 flips = 1 + rng.uniformInt(4);
+            for (u64 k = 0; k < flips; ++k)
+                bytes[rng.uniformInt(bytes.size())] =
+                    static_cast<char>(rng.uniformInt(256));
+            {
+                std::ofstream os(path, std::ios::binary | std::ios::trunc);
+                os.write(bytes.data(),
+                         static_cast<std::streamsize>(bytes.size()));
+            }
+            const VerifyResult r = f.check(true);
+            if (r.ok())
+                continue;
+            ++diagnosed;
+            for (const verify::Diagnostic &d : r.diagnostics()) {
+                EXPECT_STREQ(d.pass, "store") << path << " " << iter;
+                EXPECT_TRUE(d.entity == EntityKind::Manifest ||
+                            d.entity == EntityKind::Batch ||
+                            d.entity == EntityKind::Artifact)
+                    << d.text();
+                EXPECT_FALSE(d.message.empty()) << path << " " << iter;
+            }
+        }
+        // Most mutants land in checksummed bytes.
+        EXPECT_GT(diagnosed, 300u) << path;
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os.write(original.data(),
+                 static_cast<std::streamsize>(original.size()));
+    }
+    EXPECT_CLEAN(f.check());
 }
 
 // ---------------------------------------------------------------------

@@ -47,12 +47,9 @@ SPEC = "src/workloads/spec.cc"
 
 
 def run_probe(layouts, insts):
-    subprocess.run(["cmake", "--build", "build"], check=True,
-                   capture_output=True)
-    subprocess.run(
-        ["g++", "-std=c++20", "-O2", "-Isrc", "tools/probe.cc",
-         "build/src/libinterf.a", "-o", "/tmp/probe"], check=True)
-    out = subprocess.run(["/tmp/probe", str(layouts), str(insts)],
+    subprocess.run(["cmake", "--build", "build", "--target", "probe"],
+                   check=True, capture_output=True)
+    out = subprocess.run(["build/tools/probe", str(layouts), str(insts)],
                          check=True, capture_output=True, text=True).stdout
     rows = {}
     for line in out.splitlines()[1:]:

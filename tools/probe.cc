@@ -1,5 +1,7 @@
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
+#include <string>
 #include <vector>
 
 #include "interferometry/campaign.hh"
@@ -29,6 +31,8 @@ main(int argc, char **argv)
         interferometry::Campaign camp(entry.profile, cfg);
         auto samples = camp.measureLayouts(0, layouts);
         std::vector<double> cpi, mpki;
+        cpi.reserve(samples.size());
+        mpki.reserve(samples.size());
         for (auto &m : samples) { cpi.push_back(m.cpi); mpki.push_back(m.mpki); }
         interferometry::PerformanceModel model(entry.profile.name, samples);
         double sec = double(std::clock() - t0) / CLOCKS_PER_SEC;
